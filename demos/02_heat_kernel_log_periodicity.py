@@ -21,12 +21,12 @@ print(f"nu={params.nu}, p={params.p}: s_h = {params.s_h:.3f}, "
 print("profile F(t) = t^(s_h/2) p(t,x,x) over five decades:")
 print(f"{'t':>12} {'log-phase':>10} {'F(t)':>14} {'F(t) - F(t/p)':>14}")
 period = math.log(1.0 / params.p)
-for exponent in np.arange(2.0, 6.01, 0.3):
-    t = 10.0**exponent
+ts = 10.0 ** np.arange(2.0, 6.01, 0.3)
+profile = heat_profile(params, ts)
+drift = profile - heat_profile(params, ts / params.p)
+for t, value, shift in zip(ts, profile, drift):
     phase = math.log(t) / period % 1.0
-    drift = heat_profile(params, t) - heat_profile(params, t / params.p)
-    print(f"{t:12.4g} {phase:10.4f} {heat_profile(params, t):14.10f} "
-          f"{drift:14.3e}")
+    print(f"{t:12.4g} {phase:10.4f} {value:14.10f} {shift:14.3e}")
 
 print("\nthe same phase always reproduces the same profile value:")
 for phase_t in (1e3, 1e3 / params.p**4):
@@ -39,7 +39,8 @@ for lam in (0.3, 0.3 * params.p**3):
     print(f"  lam={lam:10.6g}: {ids_profile(params, lam):.12f}")
 
 print("\nshort-time kernel values (exact series, certified tails):")
-for t in (0.0, 0.5, 2.0):
-    row = ", ".join(f"r={r}: {heat_kernel(params, t, r):.8f}"
-                    for r in range(3))
+ts = np.array([0.0, 0.5, 2.0])
+kernels = [heat_kernel(params, ts, r) for r in range(3)]
+for i, t in enumerate(ts):
+    row = ", ".join(f"r={r}: {kernels[r][i]:.8f}" for r in range(3))
     print(f"  t={t:4.1f}  {row}")

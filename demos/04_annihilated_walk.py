@@ -31,8 +31,7 @@ print("\ndecay exponents by log-log fit over t in [1e2, 1e6]:")
 ts = 10.0 ** np.arange(2.0, 6.01, 0.5)
 p1_slope = np.polyfit(np.log(ts),
                       np.log([p1_diag(params, t, 1) for t in ts]), 1)[0]
-p_slope = np.polyfit(np.log(ts),
-                     np.log([heat_kernel(params, t, 0) for t in ts]), 1)[0]
+p_slope = np.polyfit(np.log(ts), np.log(heat_kernel(params, ts, 0)), 1)[0]
 print(f"  killed kernel: {p1_slope:7.4f}   (theory -(1+alpha) = "
       f"{-(1 + params.alpha)})")
 print(f"  free kernel:   {p_slope:7.4f}   (theory -s_h/2 = "

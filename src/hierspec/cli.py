@@ -8,9 +8,6 @@ leading '#' comment lines) or JSON (sorted keys, shortest round-trip
 float repr, metadata under "meta").  Identical invocations produce
 byte-identical files.  Exit codes: 0 success, 1 domain/usage error,
 2 certification or convergence failure.
-
-The worker pool for grid evaluation is capped by the HIERSPEC_THREADS
-environment variable (grids are small; 1 disables threading).
 """
 
 import argparse
@@ -18,9 +15,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,23 +37,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
-
-
-def _pool_size() -> int:
-    value = os.environ.get("HIERSPEC_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise DomainError(f"HIERSPEC_THREADS must be an integer, got {value!r}")
-
-
-def _grid_map(fn, items):
-    n = _pool_size()
-    items = list(items)
-    if n == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(args, columns, rows, meta):
@@ -148,8 +126,8 @@ def _cmd_spectrum(args):
 def _cmd_ids(args):
     params = _params(args)
     lams = _float_grid(args.lam)
-    rows = _grid_map(lambda lam: (lam, cf.ids(params, lam),
-                                  cf.ids_profile(params, lam)), lams)
+    rows = [(lam, cf.ids(params, lam), cf.ids_profile(params, lam))
+            for lam in lams]
     _emit(args, ("lambda", "ids", "profile"), rows, _meta(args))
 
 
@@ -158,16 +136,15 @@ def _cmd_heat(args):
     ts = _float_grid(args.t)
     tol = _series_tol(args)
     if args.profile:
+        values = cf.heat_profile(params, np.array(ts), tol=tol).tolist()
         log_inv_p = math.log(1.0 / params.p)
-        rows = _grid_map(
-            lambda t: (t, math.log(t) / log_inv_p % 1.0,
-                       cf.heat_profile(params, t, tol=tol)), ts)
+        rows = [(t, math.log(t) / log_inv_p % 1.0, v)
+                for t, v in zip(ts, values)]
         _emit(args, ("t", "log_phase", "profile"), rows,
               _meta(args, mode="profile", tol=tol))
     else:
-        rows = _grid_map(
-            lambda t: (t, args.r, cf.heat_kernel(params, t, args.r, tol=tol)),
-            ts)
+        values = cf.heat_kernel(params, np.array(ts), args.r, tol=tol).tolist()
+        rows = [(t, args.r, v) for t, v in zip(ts, values)]
         _emit(args, ("t", "r", "kernel"), rows, _meta(args, r=args.r, tol=tol))
 
 
@@ -175,10 +152,8 @@ def _cmd_resolvent(args):
     params = _params(args)
     lams = _float_grid(args.lam)
     tol = _series_tol(args)
-    rows = _grid_map(
-        lambda lam: (lam, args.r,
-                     cf.resolvent(params, lam, args.r, tol=tol).real),
-        lams)
+    values = cf.resolvent(params, np.array(lams), args.r, tol=tol).real
+    rows = [(lam, args.r, v) for lam, v in zip(lams, values.tolist())]
     _emit(args, ("lambda", "r", "value"), rows, _meta(args, r=args.r, tol=tol))
 
 
@@ -186,7 +161,7 @@ def _cmd_zeta(args):
     params = _params(args)
     if args.mode == "theta":
         ts = _float_grid(args.t)
-        rows = _grid_map(lambda t: (t, cf.theta(params, t)), ts)
+        rows = list(zip(ts, cf.theta(params, np.array(ts)).tolist()))
         _emit(args, ("t", "theta"), rows, _meta(args, mode="theta"))
     elif args.mode == "poles":
         rows = [(k, z.real, z.imag)
@@ -202,25 +177,14 @@ def _cmd_zeta(args):
 
 def _cmd_annihilated(args):
     params = _params(args)
-    if args.mode == "p1":
-        ts = _float_grid(args.t)
-        rows = _grid_map(lambda t: (t, args.r, ann.p1_diag(params, t, args.r)),
-                         ts)
-        _emit(args, ("t", "r", "p1"), rows, _meta(args, r=args.r, mode="p1"))
-    elif args.mode == "resolvent":
-        lams = _float_grid(args.lam)
-        rows = _grid_map(
-            lambda lam: (lam, args.r,
-                         ann.resolvent_annihilated(params, lam, args.r).real),
-            lams)
-        _emit(args, ("lambda", "r", "value"), rows,
-              _meta(args, r=args.r, mode="resolvent"))
-    else:  # tail
-        ts = _float_grid(args.t)
-        rows = _grid_map(
-            lambda t: (t, args.r, ann.p1_tail_integral(params, t, args.r)), ts)
-        _emit(args, ("T", "r", "tail_integral"), rows,
-              _meta(args, r=args.r, mode="tail"))
+    fn, grid, columns = {
+        "p1": (ann.p1_diag, args.t, ("t", "r", "p1")),
+        "resolvent": (lambda *a: ann.resolvent_annihilated(*a).real, args.lam,
+                      ("lambda", "r", "value")),
+        "tail": (ann.p1_tail_integral, args.t, ("T", "r", "tail_integral")),
+    }[args.mode]
+    rows = [(x, args.r, fn(params, x, args.r)) for x in _float_grid(grid)]
+    _emit(args, columns, rows, _meta(args, r=args.r, mode=args.mode))
 
 
 def _load_potential(args, params) -> Potential:

@@ -19,9 +19,11 @@ Everything here is an explicit series over the pure-point spectrum
 * tail integrals int_T^inf t**(-gamma) p(t,x,x) dt, the weights of the
   bound-state counting functionals.
 
-Each truncated series carries an explicit geometric tail bound; a
-result is only returned once that bound is below the requested
-tolerance (:class:`CertificationError` otherwise).
+Every series is summed by one evaluator, :func:`_sum_atoms`, up to the
+last index at which its geometric tail bound is below the requested
+tolerance (:class:`CertificationError` if that needs over ``_MAX_TERMS``
+terms).  Functions of t or lam also take an ndarray; an array call
+equals scalar calls element by element, bit for bit.
 """
 
 import cmath
@@ -29,8 +31,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
+from scipy.special import exp1, gammaincc
 
 from .errors import (CertificationError, DivergentIntegralError, DomainError,
                      SpectrumProximityError)
@@ -51,22 +53,82 @@ class SpectralMeasure:
         return sum(self.weights)
 
 
+@lru_cache(maxsize=64)
+def _atoms(params: LatticeParams, count: int) -> tuple[tuple, tuple]:
+    """Locations p**s and weights (1-1/nu) nu**(-s) of atoms s < count
+    (cached: building the table costs more than a scalar series)."""
+    s = np.arange(count)
+    weights = (1.0 - 1.0 / params.nu) * float(params.nu) ** -s
+    return tuple((params.p**s).tolist()), tuple(weights.tolist())
+
+
 def spectral_measure(params: LatticeParams, n_atoms: int) -> SpectralMeasure:
-    nu, p = params.nu, params.p
-    locs = tuple(p**k for k in range(n_atoms))
-    wts = tuple((1.0 - 1.0 / nu) * nu ** (-k) for k in range(n_atoms))
+    locs, wts = _atoms(params, n_atoms)
     return SpectralMeasure(locations=locs, weights=wts)
 
 
+def _points(x):
+    """Points as a float or complex ndarray or scalar.  Complex scalars
+    become numpy complex: numpy divides complex numbers unlike Python,
+    and scalar calls must round as array calls do."""
+    if isinstance(x, np.ndarray):
+        return x.astype(np.result_type(x.dtype, np.float64), copy=False)
+    if isinstance(x, (complex, np.complexfloating)):
+        return np.complex128(x)
+    return float(x)
+
+
+def _result(value, kind=float):
+    """``value`` as a Python scalar when it is one, else the array."""
+    return value if isinstance(value, np.ndarray) else kind(value)
+
+
+def _any(mask) -> bool:
+    """np.any without its overhead on a scalar."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def _last_index(first, scale, ratio, tol):
+    """Least s >= first with scale * ratio**(s+1) <= tol, for 0 < ratio < 1,
+    element by element; the 1e-9 slack can only add one term, where
+    rounding could leave the bound a hair above tol."""
+    n = np.floor(np.log(scale / tol + 1e-300) / -math.log(ratio) + 1e-9)
+    if _any(~(n - first <= _MAX_TERMS)):
+        raise CertificationError(
+            f"series needs more than {_MAX_TERMS} terms to certify")
+    if isinstance(n, np.ndarray):
+        return np.maximum(n, first).astype(int)
+    return max(int(n), first)
+
+
+def _sum_atoms(params: LatticeParams, term, first: int, last, total=0.0):
+    """total + sum over atoms s = first..last of term(s, location, weight).
+
+    The only loop over atoms in this module.  Terms are added in order
+    of s.  ``last`` is an int, or an int array giving each element its
+    own last index; past it the element only gets exact zeros, so an
+    array call gives, element by element, the bits of scalar calls.
+    """
+    if isinstance(last, np.ndarray):
+        top = int(last.max(initial=first - 1))
+    else:
+        last = top = int(last)
+    locs, wts = _atoms(params, max(64, 1 << top.bit_length()))
+    for s in range(first, top + 1):
+        total = total + term(s, locs[s], wts[s]) * (s <= last)
+    return total
+
+
 def _k0(params: LatticeParams, lam: float) -> int:
-    """min{k >= 0 : p**k < lam}, robust at the atom boundaries."""
+    """min{k >= 0 : p**k < lam}, robust at the atom boundaries: it is
+    floor(ln lam / ln p) + 1, up to one step of rounding undone here."""
     if lam > 1.0:
         return 0
     p = params.p
-    k = max(0, int(math.floor(math.log(lam) / math.log(p))))
-    while p**k >= lam:
+    k = max(0, math.floor(math.log(lam) / math.log(p)) + 1)
+    if p**k >= lam:
         k += 1
-    while k > 0 and p ** (k - 1) < lam:
+    elif k > 0 and p ** (k - 1) < lam:
         k -= 1
     return k
 
@@ -95,56 +157,56 @@ def ids_profile(params: LatticeParams, lam: float) -> float:
 # heat kernel
 
 
-def heat_kernel(params: LatticeParams, t: float, r: int = 0,
-                tol: float = 1e-14) -> float:
+def _heat_term(t):
+    return lambda s, loc, w: w * np.exp(-loc * t)
+
+
+def heat_kernel(params: LatticeParams, t, r: int = 0, tol: float = 1e-14):
     """Return probability p(t, x, y) for d(x,y) = r, certified to ``tol``.
 
     The series is truncated with a first-order tail: for s > S every
     exp(-p**s t) lies in [1 - p**s t, 1], so the remaining mass lies in
     [A - B, A] with the geometric sums A, B known exactly; adding
     A - B/2 leaves a certified error B/2 <= tol (and makes small-t
-    values, t = 0 in particular, exact).
+    values, t = 0 in particular, exact).  ``t`` may be an array.
     """
-    if t < 0:
+    t = _points(t)
+    if _any(t < 0):
         raise DomainError("time must be nonnegative")
     if r < 0:
         raise DomainError("distance must be nonnegative")
     nu, p = params.nu, params.p
-    value = 0.0 if r == 0 else -math.exp(-p ** (r - 1) * t) * nu ** (-r)
-    s0 = 0 if r == 0 else r
-    coeff = 1.0 - 1.0 / nu
-    s = s0
-    while True:
-        value += coeff * math.exp(-(p**s) * t) * nu ** (-s)
-        tail_hi = nu ** (-(s + 1))  # coeff * sum nu**-s' over s' > s
-        tail_gap = coeff * t * (p / nu) ** (s + 1) * nu / (nu - p)
-        if tail_gap <= 2.0 * tol or tail_hi <= tol:
-            value += tail_hi - min(tail_gap, tail_hi) / 2.0
-            break
-        s += 1
-        if s - s0 > _MAX_TERMS:
-            raise CertificationError("heat kernel series did not certify")
-    if value < -10.0 * tol:
+    head = 0.0 if r == 0 else -np.exp(-p ** (r - 1) * t) * nu ** (-r)
+    # past atom S: A = nu**-(S+1), B = gap_scale (p/nu)**(S+1)
+    gap_scale = (1.0 - 1.0 / nu) * t * nu / (nu - p)
+    last = np.minimum(_last_index(r, 1.0, 1.0 / nu, tol),
+                      _last_index(r, gap_scale, p / nu, 2.0 * tol))
+    value = _sum_atoms(params, _heat_term(t), r, last, head)
+    tail_hi = np.power(float(nu), -(last + 1.0))
+    tail_gap = gap_scale * np.power(p / nu, last + 1.0)
+    value = value + (tail_hi - np.minimum(tail_gap, tail_hi) / 2.0)
+    if _any(value < -10.0 * tol):
         raise CertificationError("heat kernel evaluated negative")
-    return min(max(value, 0.0), 1.0)
+    return _result(np.clip(value, 0.0, 1.0))
 
 
-def heat_profile(params: LatticeParams, t: float, tol: float = 1e-12) -> float:
+def heat_profile(params: LatticeParams, t, tol: float = 1e-12):
     """F(t) = t**(s_h/2) p(t, x, x); log-periodic for large t (period 1/p).
 
     The kernel itself decays like t**(-s_h/2), so its series tolerance
     is scaled down by that factor to keep the *profile* accurate to
-    ``tol`` at any t.
+    ``tol`` at any t.  ``t`` may be an array.
     """
-    if t <= 0:
+    t = _points(t)
+    if _any(t <= 0):
         raise DomainError("heat profile needs t > 0")
-    scale = t ** (params.s_h / 2.0)
-    kernel_tol = max(tol / scale, 1e-300)
-    return scale * heat_kernel(params, t, 0, tol=kernel_tol)
+    scale = np.power(t, params.s_h / 2.0)
+    kernel_tol = np.maximum(tol / scale, 1e-300)
+    return _result(scale * heat_kernel(params, t, 0, tol=kernel_tol))
 
 
-def heat_exterior_mass(params: LatticeParams, t: float, volume_rank: int,
-                       tol: float = 1e-14) -> float:
+def heat_exterior_mass(params: LatticeParams, t, volume_rank: int,
+                       tol: float = 1e-14):
     """Probability the walk sits outside the rank-R cube of its start.
 
     Closed form obtained by summing p(t, r) over the shells r > R
@@ -155,80 +217,70 @@ def heat_exterior_mass(params: LatticeParams, t: float, volume_rank: int,
     """
     if volume_rank < 0:
         raise DomainError("volume rank must be nonnegative")
+    t = _points(t)
+    if _any(t < 0):
+        raise DomainError("time must be nonnegative")
     nu, p = params.nu, params.p
-    coeff = 1.0 - 1.0 / nu
-    acc = 0.0
-    s = volume_rank + 1
-    while True:
-        acc += math.exp(-(p**s) * t) * nu ** (-s)
-        if nu ** (-(s + 1)) <= tol * nu ** (-volume_rank):
-            break
-        s += 1
-        if s > volume_rank + _MAX_TERMS:
-            raise CertificationError("exterior-mass series did not certify")
-    value = 1.0 - coeff * math.exp(-(p**volume_rank) * t) - coeff * nu**volume_rank * acc
-    return min(max(value, 0.0), 1.0)
+    # the terms past atom S weigh nu**R nu**-(S+1) at most
+    last = _last_index(volume_rank + 1, float(nu) ** volume_rank, 1.0 / nu,
+                       tol)
+    rest = _sum_atoms(params, _heat_term(t), volume_rank + 1, last)
+    value = (1.0 - (1.0 - 1.0 / nu) * np.exp(-(p**volume_rank) * t)
+             - nu**volume_rank * rest)
+    return _result(np.clip(value, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # resolvent
 
 
-def _require_sector(lam: complex):
-    if lam == 0:
+def _first(x, mask):
+    """The first element of ``x`` where ``mask`` holds (scalars too)."""
+    return np.asarray(x)[np.asarray(mask)][0]
+
+
+def _require_resolvent_domain(params: LatticeParams, lam,
+                              min_dist: float = 1e-13):
+    """Reject lam = 0, lam outside the sector and lam within min_dist of
+    an atom -p**k.  On the sector every atom is at least |lam|/sqrt(2)
+    away; their infimum distance is |lam| (they accumulate at 0) and
+    only the two atoms around -Re lam can be nearer."""
+    if _any(lam == 0):
         raise DomainError("lam = 0 is the spectral accumulation point; "
                           "use resolvent_zero for the transient Green function")
-    if abs(cmath.phase(complex(lam))) > SECTOR_ANGLE + 1e-12:
-        raise DomainError(f"lam = {lam} outside the sector |arg| <= 3*pi/4")
+    outside = abs(np.arctan2(lam.imag, lam.real)) > SECTOR_ANGLE + 1e-12
+    if _any(outside):
+        raise DomainError(f"lam = {_first(lam, outside)} outside the sector "
+                          "|arg| <= 3*pi/4")
+    if not _any(abs(lam) < math.sqrt(2.0) * min_dist):
+        return
+    depth = np.log(np.maximum(-lam.real, 1e-300)) / math.log(params.p)
+    k = np.maximum(np.floor(depth), 0.0)
+    close = np.minimum.reduce([abs(lam), abs(lam + params.p**k),
+                               abs(lam + params.p ** (k + 1))]) < min_dist
+    if _any(close):
+        raise SpectrumProximityError(
+            f"lam = {_first(lam, close)} within {min_dist} of the spectrum")
 
 
-def _require_off_spectrum(params: LatticeParams, lam: complex,
-                          min_dist: float = 1e-13):
-    k = 0
-    while True:
-        atom = -params.p**k
-        if abs(lam - atom) < min_dist:
-            raise SpectrumProximityError(
-                f"lam = {lam} within {min_dist} of the spectrum point {atom}")
-        if params.p**k < abs(lam) * 0.5 and k > 0:
-            return
-        k += 1
-        if k > 60_000:
-            return
-
-
-def resolvent(params: LatticeParams, lam: complex, r: int = 0,
-              tol: float = 1e-14) -> complex:
+def resolvent(params: LatticeParams, lam, r: int = 0, tol: float = 1e-14):
     """Resolvent kernel R_lam(x, y) for d(x,y) = r, certified to ``tol``.
 
     Valid on the sector |arg lam| <= 3*pi/4 excluding the spectrum
-    {-p**k} and 0.  For real lam > 0 the diagonal value is real
-    positive.
+    {-p**k} and 0.  Real lam (> 0) is summed in real arithmetic and
+    gives a zero imaginary part.
     """
     if r < 0:
         raise DomainError("distance must be nonnegative")
-    _require_sector(lam)
-    _require_off_spectrum(params, lam)
+    lam = _points(lam)
+    _require_resolvent_domain(params, lam)
     nu, p = params.nu, params.p
-    lam = complex(lam)
-    value = 0.0 + 0.0j
-    if r >= 1:
-        value -= 1.0 / ((lam + p ** (r - 1)) * nu**r)
-    coeff = 1.0 - 1.0 / nu
-    # on the sector, |lam + p**s| >= |lam| / sqrt(2)
-    tail_scale = math.sqrt(2.0) / abs(lam)
-    s = 0 if r == 0 else r
-    s0 = s
-    while True:
-        value += coeff / ((lam + p**s) * nu**s)
-        if tail_scale * nu ** (-(s + 1)) <= tol:
-            break
-        s += 1
-        if s - s0 > _MAX_TERMS:
-            raise CertificationError("resolvent series did not certify")
-    if abs(lam.imag) == 0.0 and lam.real > 0:
-        return complex(value.real, 0.0)
-    return value
+    head = 0.0 if r == 0 else -1.0 / ((lam + p ** (r - 1)) * nu**r)
+    # on the sector |lam + p**s| >= |lam| / sqrt(2), so the terms past
+    # atom S add up to at most sqrt(2)/|lam| nu**-(S+1)
+    last = _last_index(r, math.sqrt(2.0) / abs(lam), 1.0 / nu, tol)
+    value = _sum_atoms(params, lambda s, loc, w: w / (lam + loc), r, last, head)
+    return _result(value + 0j, complex)
 
 
 def resolvent_zero(params: LatticeParams, r: int = 0) -> float:
@@ -290,7 +342,7 @@ def resolvent_expansion(params: LatticeParams, lam: float,
 # theta and spectral zeta
 
 
-def theta(params: LatticeParams, t: float, tol: float = 1e-14) -> float:
+def theta(params: LatticeParams, t, tol: float = 1e-14):
     """theta(t) = integral of exp(-lam t) against the density of states.
 
     Coincides with the diagonal heat kernel p(t, x, x).
@@ -327,17 +379,23 @@ def zeta_poles(params: LatticeParams, count: int) -> list[complex]:
 
 
 def _upper_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) for any real a and x > 0."""
-    return float(mpmath.gammainc(a, x, mpmath.inf))
-
-
-def _upper_gamma_bound(a: float, x: float) -> float:
-    """Cheap upper bound for Gamma(a, x) on 0 < x <= 1, a <= 1."""
+    """Upper incomplete gamma Gamma(a, x) for a < 1, x > 0: gammaincc for
+    a > 0, exp1 for a = 0, then Gamma(a, x) = (Gamma(a+1, x) - x**a e**-x)/a."""
     if a > 0:
-        return float(mpmath.gamma(a))
+        return math.gamma(a) * float(gammaincc(a, x))
     if a == 0:
-        return math.log(1.0 / x) + 1.0
-    return x**a / (-a) + 1.0
+        return float(exp1(x))
+    return (_upper_gamma(a + 1.0, x) - x**a * math.exp(-x)) / a
+
+
+def _green_tail_term(params: LatticeParams, T: float, gamma: float):
+    """Atom s's share of int_T^inf t**(-gamma) p(t,x,x) dt, with its weight
+    over location**(1-gamma) in a form that does not underflow."""
+    q = params.p ** (gamma - 1.0) / params.nu
+    coeff = 1.0 - 1.0 / params.nu
+    if gamma == 0.0:
+        return lambda s, loc, w: coeff * q**s * np.exp(-loc * T)
+    return lambda s, loc, w: coeff * q**s * _upper_gamma(1.0 - gamma, loc * T)
 
 
 def green_tail_divergent(params: LatticeParams, gamma: float) -> bool:
@@ -371,52 +429,35 @@ def green_tail_integral(params: LatticeParams, T: float, gamma: float = 0.0,
         raise DivergentIntegralError(
             f"divergent integral: gamma={gamma}, s_h={params.s_h:.6g} "
             f"(p*nu={p * nu:.6g})")
+    term = _green_tail_term(params, T, gamma)
     if gamma == 0.0:
+        # term s is at most coeff (p nu)**-s
         pnu = p * nu
-        value, s = 0.0, 0
-        while True:
-            value += coeff * math.exp(-(p**s) * T) * pnu ** (-s)
-            if coeff * pnu ** (-(s + 1)) / (1.0 - 1.0 / pnu) <= tol:
-                return value
-            s += 1
-            if s > _MAX_TERMS:
-                raise CertificationError("green tail series did not certify")
+        last = _last_index(0, coeff / (1.0 - 1.0 / pnu), 1.0 / pnu, tol)
+        return float(_sum_atoms(params, term, 0, last))
     # gamma > 0
     if T == 0.0 and gamma >= 1.0:
         raise DivergentIntegralError(
             "t**(-gamma) p(t,x,x) is not integrable at t=0 for gamma >= 1")
     a = 1.0 - gamma
+    q = p ** (gamma - 1.0) / nu
     if T == 0.0:
         # every term is Gamma(1-gamma) p**(s(gamma-1)) nu**(-s): pure geometric
-        q = p ** (gamma - 1.0) / nu
-        return coeff * float(mpmath.gamma(a)) / (1.0 - q)
-    value, s = 0.0, 0
-    q = p ** (gamma - 1.0) / nu
-    while True:
-        x = p**s * T
-        value += coeff * nu ** (-s) * p ** (s * (gamma - 1.0)) * _upper_gamma(a, x)
-        x_next = p ** (s + 1) * T
-        if x_next <= 1.0:
-            # geometric tail via Gamma(a, x) <= x**a/(-a) + 1 (a<0),
-            # log(1/x)+1 (a=0) or Gamma(a) (a>0), all on x <= 1
-            if a > 0:
-                tail = coeff * float(mpmath.gamma(a)) * q ** (s + 1) / (1.0 - q)
-            elif a == 0:
-                # terms nu**(-s')(s' ln(1/p) + ln(1/T) + 1); closed-form tail
-                x_ = 1.0 / nu
-                s1 = s + 1
-                geo = x_**s1 / (1.0 - x_)
-                lin = x_**s1 * (s1 - (s1 - 1) * x_) / (1.0 - x_) ** 2
-                tail = coeff * (math.log(1.0 / p) * lin
-                                + (abs(math.log(T)) + 1.0) * geo)
-            else:
-                tail = coeff * (T**a * nu ** (-(s + 1)) / ((-a) * (1.0 - 1.0 / nu))
-                                + q ** (s + 1) / (1.0 - q))
-            if tail <= tol:
-                return value
-        s += 1
-        if s > _MAX_TERMS:
-            raise CertificationError("green tail series did not certify")
+        return coeff * math.gamma(a) / (1.0 - q)
+    # past atom `small` every x = p**s T <= 1, where Gamma(a, x) <= Gamma(a)
+    # for a > 0 and Gamma(a, x) <= x**b/(-b) + 1 for b < 0, b <= a: term s
+    # is at most coeff (T**b/(-b) q_b**s + q**s), q_b = p**(b-a)/nu
+    # (a = 0 takes b = -s_h/4, so q_b = nu**-1/2)
+    small = _last_index(0, T, p, 1.0)
+    if a > 0:
+        last = _last_index(0, coeff * math.gamma(a) / (1.0 - q), q, tol)
+    else:
+        b = a if a < 0 else -params.s_h / 4.0
+        q_b = p ** (b - a) / nu
+        last = max(_last_index(0, coeff * T**b / (-b * (1.0 - q_b)), q_b,
+                               tol / 2.0),
+                   _last_index(0, coeff / (1.0 - q), q, tol / 2.0))
+    return float(_sum_atoms(params, term, 0, max(small, last)))
 
 
 def green_tail_partial_sum(params: LatticeParams, T: float, gamma: float,
@@ -426,13 +467,5 @@ def green_tail_partial_sum(params: LatticeParams, T: float, gamma: float,
     Used to exhibit divergence in the recurrent regime: for
     p*nu <= 1, gamma = 0 the partial sums grow without bound.
     """
-    nu, p = params.nu, params.p
-    coeff = 1.0 - 1.0 / nu
-    total = 0.0
-    for s in range(n_terms):
-        if gamma == 0.0:
-            total += coeff * math.exp(-(p**s) * T) * (p * nu) ** (-s)
-        else:
-            total += (coeff * nu ** (-s) * p ** (s * (gamma - 1.0))
-                      * _upper_gamma(1.0 - gamma, p**s * T))
-    return total
+    return float(_sum_atoms(params, _green_tail_term(params, T, gamma), 0,
+                            n_terms - 1))

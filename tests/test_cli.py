@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 
@@ -14,11 +13,8 @@ from hierspec.cli import main
 RUN = [sys.executable, "-m", "hierspec.cli"]
 
 
-def run_cli(args, tmp_path=None, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+def run_cli(args, tmp_path=None):
+    return subprocess.run(RUN + args, capture_output=True, text=True)
 
 
 def parse_csv(text):
@@ -84,6 +80,12 @@ class TestDeterminism:
         for lam, r, value in payload["rows"]:
             exact = resolvent(LatticeParams(2, 0.5), lam, int(r)).real
             assert value == exact  # shortest round-trip repr is lossless
+
+    def test_heat_grid_rerun_identical(self):
+        runs = [run_cli(["heat", "--nu", "2", "--p", "0.5", "--t", "1:100:6"])
+                for _ in range(2)]
+        assert runs[0].returncode == 0
+        assert runs[0].stdout == runs[1].stdout
 
     def test_csv_line_endings(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -166,22 +168,37 @@ class TestBoundsCommand:
             assert float(row[6]) >= 1.0
 
 
-class TestThreadPool:
-    def test_env_cap_respected(self):
-        out = run_cli(["heat", "--nu", "2", "--p", "0.5", "--t", "1:100:6"],
-                      env_extra={"HIERSPEC_THREADS": "2"})
-        assert out.returncode == 0
-        base = run_cli(["heat", "--nu", "2", "--p", "0.5", "--t", "1:100:6"],
-                       env_extra={"HIERSPEC_THREADS": "1"})
-        assert out.stdout == base.stdout
-
-    def test_invalid_env_value(self):
-        out = run_cli(["heat", "--nu", "2", "--p", "0.5", "--t", "1,2"],
-                      env_extra={"HIERSPEC_THREADS": "many"})
-        assert out.returncode == 1
+class TestImports:
+    def test_mpmath_not_loaded(self):
+        code = ("import sys, hierspec, hierspec.cli; "
+                "print('mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestInProcessMain:
+    @pytest.mark.parametrize("argv, name", [
+        (["heat", "--t", "0:5:40"], "heat_kernel"),
+        (["heat", "--profile", "--t", "1:1e4:40"], "heat_profile"),
+        (["resolvent", "--lam", "0.1:10:40"], "resolvent"),
+        (["zeta", "--mode", "theta", "--t", "0:5:40"], "theta"),
+    ])
+    def test_grid_is_one_library_call(self, monkeypatch, capsys, argv, name):
+        import hierspec.closedform as cf
+        calls = []
+        original = getattr(cf, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cf, name, counted)
+        assert main([argv[0], "--nu", "2", "--p", "0.5"] + argv[1:]) == 0
+        assert len(parse_csv(capsys.readouterr().out)) == 41
+        assert len(calls) == 1 and len(calls[0]) == 40
+
     def test_main_returns_exit_codes(self, capsys):
         assert main(["heat", "--nu", "2", "--p", "0.5", "--t", "0"]) == 0
         capsys.readouterr()

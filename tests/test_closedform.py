@@ -123,6 +123,60 @@ class TestHeatKernel:
             cf.heat_kernel(PA_2_HALF, -0.1, 0)
 
 
+class TestArrayCalls:
+    """An array call equals scalar calls element by element, bit for bit."""
+
+    TS = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 400)])
+
+    def test_heat_kernel(self):
+        for pa in (PA_2_QUARTER, LatticeParams(3, 0.4)):
+            for r in (0, 1, 3):
+                values = cf.heat_kernel(pa, self.TS, r)
+                scalars = [cf.heat_kernel(pa, float(t), r) for t in self.TS]
+                assert np.array_equal(values, scalars)
+        assert cf.heat_kernel(PA_2_HALF, self.TS, 0)[0] == 1.0
+        assert cf.theta(PA_2_HALF, np.zeros(3)).tolist() == [1.0] * 3
+
+    def test_heat_profile(self):
+        ts = self.TS[1:]
+        assert np.array_equal(cf.heat_profile(PA_4_HALF, ts),
+                              [cf.heat_profile(PA_4_HALF, float(t)) for t in ts])
+
+    def test_heat_exterior_mass(self):
+        for rank in (0, 4):
+            values = cf.heat_exterior_mass(LatticeParams(3, 0.4), self.TS, rank)
+            scalars = [cf.heat_exterior_mass(LatticeParams(3, 0.4), float(t),
+                                             rank) for t in self.TS]
+            assert np.array_equal(values, scalars)
+
+    def test_resolvent(self):
+        lams = np.geomspace(2e-3, 80.0, 400)
+        sector = lams * np.exp(1j * np.linspace(-2.3, 2.3, 400))
+        for pa in (PA_2_QUARTER, LatticeParams(3, 0.4)):
+            for r in (0, 2):
+                values = cf.resolvent(pa, lams, r)
+                assert np.array_equal(values, [cf.resolvent(pa, float(lam), r)
+                                               for lam in lams])
+                assert not np.any(values.imag)
+                values = cf.resolvent(pa, sector, r)
+                assert np.array_equal(values, [cf.resolvent(pa, complex(lam), r)
+                                               for lam in sector])
+
+    def test_checks_apply_to_each_element(self):
+        with pytest.raises(DomainError):
+            cf.heat_kernel(PA_2_HALF, np.array([1.0, -0.5, 2.0]), 0)
+        with pytest.raises(DomainError):
+            cf.heat_exterior_mass(PA_2_HALF, np.array([1.0, -0.5]), 2)
+        with pytest.raises(DomainError):
+            cf.heat_profile(PA_2_HALF, np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            cf.resolvent(PA_2_HALF, np.array([1.0, complex(-1.0, 0.1)]), 0)
+        with pytest.raises(DomainError):
+            cf.resolvent(PA_2_HALF, np.array([1.0, 0.0]), 0)
+        with pytest.raises(SpectrumProximityError):
+            cf.resolvent(PA_2_HALF, np.array([1.0, 1e-14]), 0)
+
+
 def hier_distance_xz(x, z):
     from hierspec.lattice import hier_distance
     return hier_distance(x, z, 2)
@@ -318,10 +372,20 @@ class TestGreenTail:
         assert val == pytest.approx(oracle, abs=1e-9)
 
     def test_gamma_above_one_against_quadrature(self):
-        val = cf.green_tail_integral(PA_2_QUARTER, 0.7, 1.6)
-        oracle, _ = quad(lambda t: t**-1.6 * cf.heat_kernel(PA_2_QUARTER, t, 0),
-                         0.7, np.inf, limit=400)
-        assert val == pytest.approx(oracle, abs=1e-8)
+        # gamma = 2.5 takes the Gamma(a, x) recurrence below a = -1
+        for gamma in (1.6, 2.5):
+            val = cf.green_tail_integral(PA_2_QUARTER, 0.7, gamma)
+            oracle, _ = quad(
+                lambda t: t**-gamma * cf.heat_kernel(PA_2_QUARTER, t, 0),
+                0.7, np.inf, limit=400)
+            assert val == pytest.approx(oracle, abs=1e-8)
+
+    def test_upper_gamma_against_mpmath(self):
+        import mpmath  # test-only oracle (the "test" extra)
+        for a in (0.9, 0.2, 0.0, -0.5, -0.9999, -1.0, -1.5, -2.3):
+            for x in np.concatenate([[1e-12, 1e-6], np.linspace(0.01, 30, 60)]):
+                exact = float(mpmath.gammainc(a, x, mpmath.inf))
+                assert cf._upper_gamma(a, x) == pytest.approx(exact, rel=1e-10)
 
     def test_divergence_signals(self):
         with pytest.raises(DivergentIntegralError):

@@ -1,0 +1,16 @@
+"""Smoke test: every narrative script in demos/ runs to completion."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    out = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
