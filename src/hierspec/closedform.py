@@ -30,9 +30,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
-from scipy.special import exp1, gammaincc
+from scipy.special import gammaincc
 
 from .errors import (CertificationError, DivergentIntegralError, DomainError,
                      SpectrumProximityError)
@@ -53,18 +54,25 @@ class SpectralMeasure:
         return sum(self.weights)
 
 
-@lru_cache(maxsize=64)
-def _atoms(params: LatticeParams, count: int) -> tuple[tuple, tuple]:
-    """Locations p**s and weights (1-1/nu) nu**(-s) of atoms s < count
-    (cached: building the table costs more than a scalar series)."""
-    s = np.arange(count)
-    weights = (1.0 - 1.0 / params.nu) * float(params.nu) ** -s
-    return tuple((params.p**s).tolist()), tuple(weights.tolist())
+def _atom(params: LatticeParams, s: int) -> tuple[float, float]:
+    """Location p**s and weight (1-1/nu) nu**(-s) of atom s."""
+    return params.p**s, (1.0 - 1.0 / params.nu) * float(params.nu) ** -s
+
+
+_TABLE_ATOMS = 1024
+
+
+@lru_cache(maxsize=16)
+def _atom_table(params: LatticeParams) -> tuple:
+    """Atoms s < _TABLE_ATOMS, cached per lattice: reading them halves the
+    cost of a scalar resolvent against computing them term by term."""
+    return tuple(_atom(params, s) for s in range(_TABLE_ATOMS))
 
 
 def spectral_measure(params: LatticeParams, n_atoms: int) -> SpectralMeasure:
-    locs, wts = _atoms(params, n_atoms)
-    return SpectralMeasure(locations=locs, weights=wts)
+    atoms = [_atom(params, s) for s in range(n_atoms)]
+    return SpectralMeasure(locations=tuple(loc for loc, _ in atoms),
+                           weights=tuple(w for _, w in atoms))
 
 
 def _points(x):
@@ -113,9 +121,11 @@ def _sum_atoms(params: LatticeParams, term, first: int, last, total=0.0):
         top = int(last.max(initial=first - 1))
     else:
         last = top = int(last)
-    locs, wts = _atoms(params, max(64, 1 << top.bit_length()))
-    for s in range(first, top + 1):
-        total = total + term(s, locs[s], wts[s]) * (s <= last)
+    atoms = chain(_atom_table(params)[first:top + 1],
+                  (_atom(params, s) for s in range(max(first, _TABLE_ATOMS),
+                                                   top + 1)))
+    for s, (loc, w) in zip(range(first, top + 1), atoms):
+        total = total + term(s, loc, w) * (s <= last)
     return total
 
 
@@ -379,13 +389,38 @@ def zeta_poles(params: LatticeParams, count: int) -> list[complex]:
 
 
 def _upper_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) for a < 1, x > 0: gammaincc for
-    a > 0, exp1 for a = 0, then Gamma(a, x) = (Gamma(a+1, x) - x**a e**-x)/a."""
+    """Upper incomplete gamma Gamma(a, x) for a < 1, x > 0, to ~1e-13
+    relative: gammaincc for a > 0; for a <= 0 Legendre's continued
+    fraction when x >= 1, else Gamma(a, 1) + int_x^1 t**(a-1) e**-t dt,
+    which stay accurate next to a pole a = 0, -1, ... as well."""
     if a > 0:
         return math.gamma(a) * float(gammaincc(a, x))
-    if a == 0:
-        return float(exp1(x))
-    return (_upper_gamma(a + 1.0, x) - x**a * math.exp(-x)) / a
+    if x < 1.0:
+        # expand e**-t: term n integrates to -expm1(d ln x)/d, d = a + n
+        log_x = math.log(x)
+        rest = sum((-1) ** n / math.factorial(n)
+                   * (math.expm1((a + n) * log_x) / (a + n) if a + n else log_x)
+                   for n in range(int(-a) + 25))
+        return _upper_gamma_at_one(a) - rest
+    # x**-a e**x Gamma(a, x) = 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/...)) by
+    # the modified Lentz method; the denominators stay positive for a < 1
+    b = x + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    value = d
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        value *= c * d
+        if abs(c * d - 1.0) < 3e-16:
+            return math.exp(a * math.log(x) - x) * value
+    raise CertificationError(f"Gamma({a}, {x}): fraction did not converge")
+
+
+@lru_cache(maxsize=64)
+def _upper_gamma_at_one(a: float) -> float:
+    return _upper_gamma(a, 1.0)
 
 
 def _green_tail_term(params: LatticeParams, T: float, gamma: float):

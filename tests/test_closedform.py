@@ -382,10 +382,29 @@ class TestGreenTail:
 
     def test_upper_gamma_against_mpmath(self):
         import mpmath  # test-only oracle (the "test" extra)
-        for a in (0.9, 0.2, 0.0, -0.5, -0.9999, -1.0, -1.5, -2.3):
+        # a just below 0 and -1 is where a downward recurrence from
+        # Gamma(a+1, x) would cancel
+        for a in (0.9, 0.2, 0.0, -1e-8, -1e-6, -1e-4, -0.5, -0.9999, -1.0,
+                  -1.0 - 1e-6, -1.5, -2.0 - 1e-6, -2.3, -5.5):
             for x in np.concatenate([[1e-12, 1e-6], np.linspace(0.01, 30, 60)]):
                 exact = float(mpmath.gammainc(a, x, mpmath.inf))
                 assert cf._upper_gamma(a, x) == pytest.approx(exact, rel=1e-10)
+
+    def test_gamma_next_to_pole_against_mpmath(self):
+        # gamma = 1 + eps and 2 + eps put a = 1 - gamma next to a pole of
+        # Gamma(a); the tail must still meet its tolerance 1e-12
+        import mpmath
+        pa = PA_2_HALF
+        for gamma in (1.0 + 1e-6, 2.0 + 1e-6):
+            a = mpmath.mpf(1.0 - gamma)
+            q = mpmath.mpf(pa.p) ** (gamma - 1.0) / pa.nu
+            with mpmath.workdps(30):
+                exact = (1 - mpmath.mpf(1) / pa.nu) * mpmath.nsum(
+                    lambda s: q**s * mpmath.gammainc(
+                        a, mpmath.mpf(pa.p) ** s * 0.7, mpmath.inf),
+                    [0, mpmath.inf])
+            assert cf.green_tail_integral(pa, 0.7, gamma) == pytest.approx(
+                float(exact), abs=1e-12)
 
     def test_divergence_signals(self):
         with pytest.raises(DivergentIntegralError):
