@@ -1,40 +1,40 @@
-"""The walk annihilated at a marked site: resolvent and kernel.
+"""The walk annihilated at a marked site: resolvent, kernel, time integrals.
 
 Killing the walk at a single site x0 is a rank-one modification of the
-resolvent.  With r = d(x0, x) >= 1 and
+resolvent.  With r = d(x0, x) >= 1 and the finite sum
 
     Rt_lam(r) = -1/((lam + p**(r-1)) nu**r)
                 - (1-1/nu) sum_{s=0}^{r-1} 1/((lam + p**s) nu**s)
 
-(a finite sum; it equals R_lam(x0,x) - R_lam(x,x)), the annihilated
-diagonal resolvent is
+(= R_lam(x0,x) - R_lam(x,x)), the annihilated diagonal resolvent is
+R1_lam(x,x) = -2 Rt_lam(r) - Rt_lam(r)**2 / R_lam(x,x); at x0 the kernel
+vanishes.  As lam -> 0, R1 tends to a(r) = -2 Rt_0(r) when R_lam(x,x)
+diverges (p*nu <= 1); in the transient regime -Rt_0**2/R_0 stays.
 
-    R1_lam(x,x) = -2 Rt_lam(r) - Rt_lam(r)**2 / R_lam(x,x).
+R1 is a Stieltjes function, R1(lam) = sum c/(lam + mu), over atoms at
+mu = p**s (s <= r-2) of weight (1-1/nu) nu**-s, one at p**(r-1) of
+weight nu**(1-r) (nu-2)/(nu-1), and in each gap (p**(j+1), p**j) the
+zero mu_j of the free resolvent R(-mu), of weight Rt(-mu_j)**2/-R'(-mu_j);
+sum c = 1 and sum c/mu = R1(0).  int_T^inf t**-gamma p1 dt is the
+certified sum of c mu**(gamma-1) Gamma(1-gamma, mu T) over it.
 
-At x0 itself the annihilated kernel vanishes identically.  As lam -> 0
-the second term dies whenever R_lam(x,x) diverges (p*nu <= 1), leaving
-the coefficient a(r) = -2 Rt_0(r); in the transient regime the limit
-keeps its finite correction -Rt_0**2/R_0.
-
-The kernel diagonal p1(t,x,x) is recovered by an inverse Laplace
-transform along the boundary of the sector |arg lam| < 3*pi/4 (two
-rays, angle +-3*pi/4).  The lam->0 limit is subtracted analytically
-before quadrature -- a constant integrates to zero over the full
-boundary -- which removes the large-t cancellation and tightens the
-truncation bound |R1 - R1_0| <= 1/|Im lam| + |R1_0|.  For t < 1
-quadrature is wasteful and the value is taken from a Krylov matrix
-exponential of the x0-deleted operator on a finite volume (boundary
-leak ~ p**depth * t).
+The kernel diagonal p1(t,x,x) is an inverse Laplace transform along the
+boundary of the sector |arg lam| < 3*pi/4 of R1 - R1_0 (a constant adds
+nothing there; the truncation is bounded by 1/|Im lam| + |R1_0|); for
+t < 1 it is a Krylov exponential of the x0-deleted operator on a finite
+volume (boundary leak ~ p**depth * t).
 """
 
 import cmath
 import math
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
 from .errors import CertificationError, DomainError, SpectrumProximityError
-from .closedform import SECTOR_ANGLE, resolvent, resolvent_zero
+from .closedform import (SECTOR_ANGLE, _atom, _last_index, _scaled_upper_gamma,
+                         _sum_atoms, resolvent, resolvent_zero)
 from .hierops import VolumeGrid, apply_laplacian, expm_action
 from .lattice import LatticeParams
 
@@ -57,16 +57,23 @@ def _require_sector_off_atoms(params: LatticeParams, lam: complex, r: int,
                 f"lam = {lam} within {min_dist} of -p**{s}")
 
 
+def _pole_sum(params: LatticeParams, den, last, head=0.0):
+    """head + sum_{s <= last} w_s / den(p**s), element by element."""
+    return _sum_atoms(params, lambda s, loc, w: w / den(loc), 0, last, head)
+
+
+def _tilde(params: LatticeParams, den, r: int):
+    """Rt_lam(r) for den(loc) = lam + loc."""
+    return -_pole_sum(params, den, r - 1,
+                      params.nu ** -r / den(params.p ** (r - 1)))
+
+
 def resolvent_tilde(params: LatticeParams, lam: complex, r: int) -> complex:
     """Rt_lam(r) = R_lam(x0, x) - R_lam(x, x); a finite sum, lam=0 allowed."""
     _check_r(r)
     _require_sector_off_atoms(params, lam, r)
-    nu, p = params.nu, params.p
     lam = complex(lam)
-    value = -1.0 / ((lam + p ** (r - 1)) * nu**r)
-    coeff = 1.0 - 1.0 / nu
-    for s in range(r):
-        value -= coeff / ((lam + p**s) * nu**s)
+    value = _tilde(params, lambda loc: lam + loc, r)
     if lam.imag == 0.0 and lam.real >= 0.0:
         return complex(value.real, 0.0)
     return value
@@ -104,54 +111,26 @@ def resolvent_annihilated(params: LatticeParams, lam: complex, r: int,
     return value
 
 
-def _resolvent_diag_array(params: LatticeParams, lam: np.ndarray,
-                          tol_weighted: float) -> np.ndarray:
-    """Vectorized diagonal resolvent over an array of sector points.
-
-    Contour quadrature weights scale like |lam|, which cancels the
-    1/|lam| growth of the per-point series tail; the stopping rule
-    therefore certifies sum_i w_i err(lam_i) <= tol_weighted for any
-    node set with sum w_i/|lam_i| <= 64 (true for the panel layouts
-    used here, whose logarithmic span is bounded by that).
-    """
-    nu, p = params.nu, params.p
-    coeff = 1.0 - 1.0 / nu
-    value = np.zeros_like(lam, dtype=complex)
-    s = 0
-    while True:
-        value += coeff / ((lam + p**s) * float(nu) ** s)
-        if 91.0 * nu ** (-(s + 1)) <= tol_weighted:
-            return value
-        s += 1
-        if s > 200_000:
-            raise CertificationError("resolvent series did not certify")
-
-
-def _tilde_array(params: LatticeParams, lam: np.ndarray, r: int) -> np.ndarray:
-    nu, p = params.nu, params.p
-    value = -1.0 / ((lam + p ** (r - 1)) * float(nu) ** r)
-    coeff = 1.0 - 1.0 / nu
-    for s in range(r):
-        value = value - coeff / ((lam + p**s) * float(nu) ** s)
-    return value
-
-
 def _r1_array(params: LatticeParams, lam: np.ndarray, tol: float,
               r: int) -> np.ndarray:
-    tilde = _tilde_array(params, lam, r)
-    return -2.0 * tilde - tilde * tilde / _resolvent_diag_array(params, lam, tol)
+    """R1 over an array of sector points.  Contour weights scale
+    like |lam|, which cancels the 1/|lam| growth of the series tail of R,
+    so stopping at 91 nu**-(s+1) <= tol certifies sum_i w_i err(lam_i) <=
+    tol for node sets with sum w_i/|lam_i| <= 64, as the panels here have.
+    """
+    tilde = _tilde(params, lambda loc: lam + loc, r)
+    diag = _pole_sum(params, lambda loc: lam + loc,
+                     _last_index(0, 91.0, 1.0 / params.nu, tol))
+    return -2.0 * tilde - tilde * tilde / diag
 
 
 # ---------------------------------------------------------------------------
-# contour quadrature (t >= 1)
-
-_GL_CACHE: dict = {}
+# contour integral (t >= 1)
 
 
+@lru_cache(maxsize=None)
 def _gl_nodes(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _panel_edges(u_lo: float, u_hi: float, t: float) -> np.ndarray:
@@ -202,81 +181,16 @@ def _contour_p1(params: LatticeParams, t: float, r: int,
         return complex((half * (f @ weights)).sum())
 
     i16, i32 = integrate(16), integrate(32)
-    quad_err = abs(i32 - i16) / math.pi
+    node_err = abs(i32 - i16) / math.pi
     # contribution of (0, u_lo): integrand bounded by its size nearby
     probe = np.abs(segment(np.array([u_lo, u_lo / 2.0]) * _RAY)).max()
     inner_err = 4.0 * u_lo * probe / math.pi
     value = (_RAY * i32).imag / math.pi
-    err = quad_err + inner_err + tol / 4.0
+    err = node_err + inner_err + tol / 4.0
     if err > tol:
         raise CertificationError(
-            f"contour quadrature error estimate {err:.3g} exceeds {tol:.3g}")
+            f"contour integral error estimate {err:.3g} exceeds {tol:.3g}")
     return value, err
-
-
-def _contour_p1_tail(params: LatticeParams, T: float, r: int,
-                     tol: float) -> float:
-    """int_T^inf p1(t,x,x) dt by one sector-boundary integral.
-
-    Integrating e^{lam t} in t first (legitimate only after removing
-    the lam -> 0 limit a0, whose kernel contribution is conditionally
-    convergent) turns the kernel contour into
-
-        (1/pi) int_0^inf -Im[ e^{lam T} (R1_lam - a0) ] / u du,
-        lam = u e^{3 i pi /4}.
-
-    The ray pairing cancels the 1/lam pole; the integrand keeps an
-    integrable u**(alpha-1) endpoint singularity from R1 - a0 ~
-    lam**alpha, so the inner cutoff shrinks until the remainder
-    certifies -- impossible only as alpha -> 0, where the caller falls
-    back to t-quadrature.  One contour per (T, r) replaces a full
-    t-quadrature of p1_diag values.
-    """
-    a0 = annihilated_resolvent_zero(params, r)
-    c = math.sqrt(2.0) / T
-    u_hi = c
-    for _ in range(200):
-        bound = (math.exp(-u_hi / c)
-                 * (2.0 / (u_hi**2 * T) + math.sqrt(2.0) * abs(a0) / (u_hi * T))
-                 / math.pi)
-        if bound <= tol / 4.0:
-            break
-        u_hi *= 1.5
-    else:
-        raise CertificationError("could not certify tail-contour truncation")
-
-    def values(u):
-        lam = u * _RAY
-        r1 = _r1_array(params, lam, tol * 0.25, r)
-        return -(np.exp(lam * T) * (r1 - a0)).imag / u
-
-    alpha_floor = max(abs(params.alpha), 0.125)
-    u_lo = u_hi * 1e-10
-    for _ in range(40):
-        inner_err = (2.0 * abs(float(values(np.array([u_lo]))[0])) * u_lo
-                     / (alpha_floor * math.pi))
-        if inner_err <= tol / 4.0:
-            break
-        u_lo /= 8.0
-    else:
-        raise CertificationError("tail-contour inner remainder did not certify")
-
-    def integrate(n_gl):
-        nodes, weights = _gl_nodes(n_gl)
-        edges = _panel_edges(u_lo, u_hi, T)
-        a, b = edges[:-1], edges[1:]
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        f = values(u).reshape(len(a), n_gl)
-        return float((half * (f @ weights)).sum())
-
-    i16, i32 = integrate(16), integrate(32)
-    quad_err = abs(i32 - i16) / math.pi
-    if quad_err + inner_err + tol / 2.0 > tol:
-        raise CertificationError(
-            f"tail-contour error estimate {quad_err + inner_err:.3g} "
-            f"exceeds {tol:.3g}")
-    return i32 / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -342,110 +256,112 @@ def p1_diag(params: LatticeParams, t: float, r: int, tol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------------
-# time integrals of p1
+# time integrals of p1: certified sums over the spectral measure
+
+_ROUNDING = 1e-14  # relative rounding allowance of a sum over the measure
 
 
-_LOG_STEP = 0.5
+@lru_cache(maxsize=64)
+def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
+    """(mu, c, tail): the measure's atoms and roots mu_j, j < J, weights, and
+    tail >= sum_{j >= J} c_j, below tail_weight unless p**(J+2) < 1e-280.
 
-
-@lru_cache(maxsize=65536)
-def _p1_head_integral(params: LatticeParams, T: float, r: int,
-                      gamma: float) -> float:
-    """int_0^T t**(-gamma) p1 dt for T <= 1, gamma in [0, 1).
-
-    The substitution w = t**(1-gamma) removes the endpoint singularity
-    and all nodes land in the Krylov small-t path (one Lanczos basis).
+    For j >= r, |Rt(-mu_j)| <= |Rt(0)| / (1 - p**(j-r+1)); as R(-mu_j) = 0,
+    Cauchy-Schwarz over the atoms s > j gives -R'(-mu_j) >= nu**(j+1) P_j**2,
+    P_j = sum_{s <= j} w_s / p**s.  These bounds b_j on c_j shrink by 1/nu
+    per step, so sum_{j >= J} c_j <= b_J nu/(nu-1).  A root is solved for
+    y = mu_j - p**(j+1) (atom j+1 then gives -y exactly; y/mu_j falls like
+    (p nu)**-j when transient) by bisecting all gaps at once, geometrically
+    while a bracket spans a factor 4.  Atoms past j+1+K add < 2**-60 of
+    atom j+1's share at the end of the gap.
     """
-    one_m_g = 1.0 - gamma
-
-    def gl_value(n):
-        nodes, weights = _gl_nodes(n)
-        w_hi = T**one_m_g
-        mid, half = w_hi / 2.0, w_hi / 2.0
-        w = mid + half * nodes
-        ts = w ** (1.0 / one_m_g)
-        f = p1_small_t(params, ts, r)
-        return float(half * (f @ weights)) / one_m_g
-
-    v16, v32 = gl_value(16), gl_value(32)
-    if abs(v32 - v16) > 1e-6 * max(1.0, abs(v32)):
-        raise CertificationError("p1 time quadrature did not stabilize")
-    return v32
-
-
-@lru_cache(maxsize=200_000)
-def _p1_log_panel(params: LatticeParams, r: int, gamma: float,
-                  k: int) -> tuple[float, float]:
-    """(value, error estimate) of int t**(-gamma) p1 dt over the k-th
-    logarithmic panel [exp(k h), exp((k+1) h)], via GL in y = ln t."""
-    return _p1_log_segment(params, r, gamma, k * _LOG_STEP, (k + 1) * _LOG_STEP)
-
-
-def _p1_log_segment(params: LatticeParams, r: int, gamma: float,
-                    y_lo: float, y_hi: float) -> tuple[float, float]:
-    def gl_value(n):
-        nodes, weights = _gl_nodes(n)
-        mid, half = (y_lo + y_hi) / 2.0, (y_hi - y_lo) / 2.0
-        y = mid + half * nodes
-        f = np.array([math.exp(yy * (1.0 - gamma)) * p1_diag(params, math.exp(yy), r)
-                      for yy in y])
-        return float(half * (f @ weights))
-
-    v16, v32 = gl_value(16), gl_value(32)
-    return v32, abs(v32 - v16)
+    nu, p = params.nu, params.p
+    coeff = 1.0 - 1.0 / nu
+    tilde0 = -resolvent_tilde(params, 0.0, r).real
+    big_p = 0.0
+    for n_roots in count():
+        loc, w = _atom(params, n_roots)
+        big_p += w / loc
+        tail = ((tilde0 / ((1.0 - p ** (n_roots - r + 1)) * big_p)) ** 2
+                * float(nu) ** -n_roots / (nu - 1.0)) if n_roots >= r else 1.0
+        if tail <= tail_weight or p ** (n_roots + 2) < 1e-280:
+            break
+    locs = np.array([_atom(params, s)[0] for s in range(n_roots + 1)])
+    base, hi = locs[1:], -np.diff(locs)
+    lo = np.full(n_roots, np.finfo(float).tiny)
+    last = np.arange(n_roots) + 1 + _last_index(0, 1.0 / (p * coeff), 1.0 / nu,
+                                                2.0**-60)
+    with np.errstate(divide="ignore"):  # a midpoint may round onto the gap end
+        while True:  # every open bracket shrinks, down to adjacent floats
+            mid = np.where(hi > 4.0 * lo, np.sqrt(lo) * np.sqrt(hi),
+                           (lo + hi) / 2.0)
+            if np.all((mid <= lo) | (mid >= hi)):
+                break
+            up = _pole_sum(params, lambda loc: (loc - base) - mid, last) > 0.0
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    y = (lo + hi) / 2.0
+    with np.errstate(over="ignore"):  # far atoms' (d/y)**2 may overflow to inf
+        slope = _pole_sum(params, lambda loc: (((loc - base) - y) / y) ** 2,
+                          last)  # y**2 * -R'(-mu), which does not underflow
+    mu = np.concatenate([locs[:r], base + y])
+    c = np.concatenate([coeff * float(nu) ** -np.arange(r - 1),
+                        [nu ** (1.0 - r) * (nu - 2.0) / (nu - 1.0)],
+                        (_tilde(params, lambda loc: (loc - base) - y, r) * y)
+                        ** 2 / slope])
+    mu.flags.writeable = c.flags.writeable = False
+    return mu, c, tail
 
 
-def _integral_p1_upto(params: LatticeParams, T: float, r: int,
-                      gamma: float = 0.0) -> float:
-    """int_0^T t**(-gamma) p1(t,x,x) dt, gamma in [0, 1).
-
-    [0, min(T,1)] goes through the Krylov small-t path; [1, T] is
-    covered by logarithmic Gauss panels that are memoized per panel, so
-    sweeps over many T values share almost all contour evaluations.
+def _measure_integral(params: LatticeParams, T: float, gamma: float, r: int,
+                      tol: float) -> float:
+    """int_T^inf t**-gamma p1 dt over the measure, certified to ``tol``
+    (relative for gamma > 0).  The roots left out weigh <= tail and hold
+    <= tail_mu of sum c/mu = R1(0); they add at most Gamma(1-gamma)
+    tail**gamma tail_mu**(1-gamma) for gamma < 1 (Hoelder, so tail is kept
+    <= 1e-16**(1/gamma)), sqrt(pi tail tail_mu / T) for gamma = 1 and
+    T**(1-gamma) tail/(gamma-1) for gamma > 1.  For gamma = 0 their part is
+    taken at T = 0, the missing mass R1(0) - sum c/mu, error <= T tail.
     """
-    if T <= 0.0:
-        return 0.0
-    if T <= 1.0:
-        return _p1_head_integral(params, T, r, gamma)
-    total = _p1_head_integral(params, 1.0, r, gamma)
-    y_t = math.log(T)
-    k_full = int(math.floor(y_t / _LOG_STEP))
-    err = 0.0
-    for k in range(k_full):
-        v, e = _p1_log_panel(params, r, gamma, k)
-        total += v
-        err += e
-    if y_t > k_full * _LOG_STEP:
-        v, e = _p1_log_segment(params, r, gamma, k_full * _LOG_STEP, y_t)
-        total += v
-        err += e
-    if err > 1e-6 * max(1.0, abs(total)):
-        raise CertificationError("p1 time quadrature did not stabilize")
-    return total
+    deep = 1e-16 ** (1.0 / gamma) if 0.0 < gamma < 1.0 else 1.0
+    mu, c, tail = _measure(params, r, min(1e-40, max(deep, 1e-300)))
+    full = annihilated_resolvent_zero(params, r)
+    missing = full - float(np.sum(c / mu))
+    tail_mu = abs(missing) + _ROUNDING * full
+    a = 1.0 - gamma
+    if gamma == 0.0:
+        value = float(np.sum(c / mu * np.exp(-mu * T))) + missing
+        bound = T * tail + _ROUNDING * full
+    else:
+        value = (math.gamma(a) * float(np.sum(c * mu**-a)) if T == 0.0 else
+                 T**a * float(np.sum(c * _scaled_upper_gamma(a, mu * T))))
+        bound = _ROUNDING * value + (
+            math.gamma(a) * tail**gamma * tail_mu**a if gamma < 1.0 else
+            math.sqrt(math.pi * tail * tail_mu / T) if gamma == 1.0 else
+            T**a * tail / (gamma - 1.0))
+        tol *= value
+    if bound > tol:
+        raise CertificationError(
+            f"int_T^inf t**-{gamma} p1 dt at T={T}: bound {bound:.3g} "
+            f"exceeds {tol:.3g}")
+    return value
 
 
 @lru_cache(maxsize=65536)
 def p1_tail_integral(params: LatticeParams, T: float, r: int,
                      tol: float = 1e-10) -> float:
-    """int_T^inf p1(t, x, x) dt.
+    """int_T^inf p1(t, x, x) dt, certified to ``tol``.
 
     T = 0 is the exact lam -> 0 resolvent limit (equal to
-    a(r) = -2 Rt_0(r) when s_h < 2); T > 0 is a single sector-contour
-    integral.  Results are memoized: potential sweeps hit the same
-    (T, r) pair once per shell of equal V.
+    a(r) = -2 Rt_0(r) when s_h < 2); T > 0 sums (c/mu) e**(-mu T) over
+    the spectral measure.  Results are memoized: potential sweeps hit the
+    same (T, r) pair once per shell of equal V.
     """
     _check_r(r)
     if T < 0:
         raise DomainError("lower limit must be nonnegative")
-    full = annihilated_resolvent_zero(params, r)
     if T == 0.0:
-        return full
-    try:
-        return max(_contour_p1_tail(params, T, r, tol), 0.0)
-    except CertificationError:
-        # near s_h = 2 the contour endpoint decays only logarithmically;
-        # subtract the [0, T] quadrature from the exact limit instead
-        return max(full - _integral_p1_upto(params, T, r), 0.0)
+        return annihilated_resolvent_zero(params, r)
+    return _measure_integral(params, T, 0.0, r, tol)
 
 
 @lru_cache(maxsize=65536)
@@ -453,46 +369,16 @@ def p1_weighted_tail_integral(params: LatticeParams, T: float, gamma: float,
                               r: int) -> float:
     """int_T^inf t**(-gamma) p1(t, x, x) dt for gamma > 0.
 
-    For 0 < gamma < 1 the full integral has the Mellin representation
-    (1/Gamma(gamma)) int_0^inf lam**(gamma-1) R1_lam(x,x) dlam over the
-    positive real axis, which is cheap and accurate; T > 0 subtracts
-    the [0, T] piece.  gamma >= 1 needs T > 0 (the integrand is not
-    integrable at t = 0) and is evaluated by direct quadrature.
+    The sum of c mu**(gamma-1) Gamma(1-gamma, mu T) over the spectral
+    measure, certified to 1e-12 relative.  gamma >= 1 needs T > 0 (the
+    integrand is not integrable at t = 0).
     """
     _check_r(r)
     if gamma <= 0:
         raise DomainError("gamma must be positive; use p1_tail_integral")
     if T < 0:
         raise DomainError("lower limit must be nonnegative")
-    from scipy.integrate import quad
-    from scipy.special import gamma as gamma_fn
-
-    if gamma < 1.0:
-        def integrand(lam):
-            if lam == 0.0:
-                return 0.0
-            return (lam ** (gamma - 1.0)
-                    * resolvent_annihilated(params, lam, r).real)
-
-        full, err = quad(integrand, 0.0, np.inf, limit=400)
-        full /= gamma_fn(gamma)
-        if T == 0.0:
-            return full
-        return max(full - _integral_p1_upto(params, T, r, gamma=gamma), 0.0)
-
-    if T == 0.0:
+    if T == 0.0 and gamma >= 1.0:
         raise DomainError(
             "t**(-gamma) p1 is not integrable at t=0 for gamma >= 1")
-    t_mid = max(T, 1.0)
-
-    def log_integrand(y):
-        if y > 700.0:  # e^{-y(gamma+alpha)} regime, below underflow
-            return 0.0
-        return math.exp(y * (1.0 - gamma)) * p1_diag(params, math.exp(y), r)
-
-    tail, _ = quad(log_integrand, math.log(t_mid), np.inf, limit=200)
-    head = 0.0
-    if T < 1.0:
-        head, _ = quad(lambda t: t ** (-gamma) * float(p1_small_t(params, t, r)),
-                       T, 1.0, limit=200)
-    return head + tail
+    return _measure_integral(params, T, gamma, r, 1e-12)

@@ -388,22 +388,27 @@ def zeta_poles(params: LatticeParams, count: int) -> list[complex]:
 # heat-kernel tail integrals
 
 
-def _upper_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) for a < 1, x > 0, to ~1e-13
-    relative: gammaincc for a > 0; for a <= 0 Legendre's continued
-    fraction when x >= 1, else Gamma(a, 1) + int_x^1 t**(a-1) e**-t dt,
-    which stay accurate next to a pole a = 0, -1, ... as well."""
+def _scaled_upper_gamma(a: float, x):
+    """g = x**-a Gamma(a, x), a < 1, x > 0 (or an array), to ~1e-13: an atom
+    mu adds T**(1-gamma) g(1-gamma, mu T) to int_T^inf t**-gamma e**-mu t dt
+    and g <= 1/(-a) for a < 0.  gammaincc for a > 0; else Legendre's
+    fraction for x >= 1, or x**-a (Gamma(a, 1) + int_x^1 t**(a-1) e**-t dt)
+    termwise, which stay accurate next to a = 0, -1, ... as well."""
     if a > 0:
-        return math.gamma(a) * float(gammaincc(a, x))
+        return math.gamma(a) * gammaincc(a, x) * np.power(x, -a)
+    if isinstance(x, np.ndarray):
+        return np.array([_scaled_upper_gamma(a, v) for v in x.tolist()])
     if x < 1.0:
-        # expand e**-t: term n integrates to -expm1(d ln x)/d, d = a + n
+        # term n of -x**-a int_x^1 is x**min(n,-a) expm1(e ln x)/e, e = |n+a|
         log_x = math.log(x)
         rest = sum((-1) ** n / math.factorial(n)
-                   * (math.expm1((a + n) * log_x) / (a + n) if a + n else log_x)
+                   * math.exp(min(n, -a) * log_x)
+                   * (math.expm1(abs(a + n) * log_x) / abs(a + n) if a + n
+                      else log_x)
                    for n in range(int(-a) + 25))
-        return _upper_gamma_at_one(a) - rest
-    # x**-a e**x Gamma(a, x) = 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/...)) by
-    # the modified Lentz method; the denominators stay positive for a < 1
+        return math.exp(-a * log_x) * _upper_gamma_at_one(a) - rest
+    # e**x g(a, x) = 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/...)) by the
+    # modified Lentz method; the denominators stay positive for a < 1
     b = x + 1.0 - a
     c, d = math.inf, 1.0 / b
     value = d
@@ -414,23 +419,27 @@ def _upper_gamma(a: float, x: float) -> float:
         c = b + an / c
         value *= c * d
         if abs(c * d - 1.0) < 3e-16:
-            return math.exp(a * math.log(x) - x) * value
+            return math.exp(-x) * value
     raise CertificationError(f"Gamma({a}, {x}): fraction did not converge")
 
 
 @lru_cache(maxsize=64)
 def _upper_gamma_at_one(a: float) -> float:
-    return _upper_gamma(a, 1.0)
+    return _scaled_upper_gamma(a, 1.0)
 
 
 def _green_tail_term(params: LatticeParams, T: float, gamma: float):
-    """Atom s's share of int_T^inf t**(-gamma) p(t,x,x) dt, with its weight
-    over location**(1-gamma) in a form that does not underflow."""
+    """(scale, term): int_T^inf t**(-gamma) p(t,x,x) dt is scale times the
+    sum of term(s, location, weight) over atoms s, all of them finite."""
     q = params.p ** (gamma - 1.0) / params.nu
     coeff = 1.0 - 1.0 / params.nu
     if gamma == 0.0:
-        return lambda s, loc, w: coeff * q**s * np.exp(-loc * T)
-    return lambda s, loc, w: coeff * q**s * _upper_gamma(1.0 - gamma, loc * T)
+        return 1.0, lambda s, loc, w: coeff * q**s * np.exp(-loc * T)
+    a = 1.0 - gamma
+    if a > 0:  # Gamma(a, x) <= Gamma(a), and p**s may underflow before q**s
+        return math.gamma(a), lambda s, loc, w: coeff * q**s * gammaincc(
+            a, loc * T)
+    return T**a, lambda s, loc, w: w * _scaled_upper_gamma(a, loc * T)
 
 
 def green_tail_divergent(params: LatticeParams, gamma: float) -> bool:
@@ -451,7 +460,8 @@ def green_tail_integral(params: LatticeParams, T: float, gamma: float = 0.0,
 
     (equal to the Green function R_0(x,x) at T=0).  gamma > 0 requires
     gamma + s_h/2 > 1 and uses upper incomplete gamma functions per
-    term; T = 0 additionally needs gamma < 1.  Divergent combinations
+    term (T**(1-gamma) times the bounded :func:`_scaled_upper_gamma` for
+    gamma >= 1); T = 0 also needs gamma < 1.  Divergent combinations
     raise :class:`DivergentIntegralError`.
     """
     if T < 0:
@@ -464,16 +474,15 @@ def green_tail_integral(params: LatticeParams, T: float, gamma: float = 0.0,
         raise DivergentIntegralError(
             f"divergent integral: gamma={gamma}, s_h={params.s_h:.6g} "
             f"(p*nu={p * nu:.6g})")
-    term = _green_tail_term(params, T, gamma)
+    if T == 0.0 and gamma >= 1.0:
+        raise DivergentIntegralError(
+            "t**(-gamma) p(t,x,x) is not integrable at t=0 for gamma >= 1")
+    scale, term = _green_tail_term(params, T, gamma)
     if gamma == 0.0:
         # term s is at most coeff (p nu)**-s
         pnu = p * nu
         last = _last_index(0, coeff / (1.0 - 1.0 / pnu), 1.0 / pnu, tol)
         return float(_sum_atoms(params, term, 0, last))
-    # gamma > 0
-    if T == 0.0 and gamma >= 1.0:
-        raise DivergentIntegralError(
-            "t**(-gamma) p(t,x,x) is not integrable at t=0 for gamma >= 1")
     a = 1.0 - gamma
     q = p ** (gamma - 1.0) / nu
     if T == 0.0:
@@ -492,7 +501,7 @@ def green_tail_integral(params: LatticeParams, T: float, gamma: float = 0.0,
         last = max(_last_index(0, coeff * T**b / (-b * (1.0 - q_b)), q_b,
                                tol / 2.0),
                    _last_index(0, coeff / (1.0 - q), q, tol / 2.0))
-    return float(_sum_atoms(params, term, 0, max(small, last)))
+    return float(scale * _sum_atoms(params, term, 0, max(small, last)))
 
 
 def green_tail_partial_sum(params: LatticeParams, T: float, gamma: float,
@@ -502,5 +511,5 @@ def green_tail_partial_sum(params: LatticeParams, T: float, gamma: float,
     Used to exhibit divergence in the recurrent regime: for
     p*nu <= 1, gamma = 0 the partial sums grow without bound.
     """
-    return float(_sum_atoms(params, _green_tail_term(params, T, gamma), 0,
-                            n_terms - 1))
+    scale, term = _green_tail_term(params, T, gamma)
+    return float(scale * _sum_atoms(params, term, 0, n_terms - 1))

@@ -391,6 +391,24 @@ def haar_spectrum(grid: VolumeGrid) -> SpectrumSummary:
 # iterative machinery (large volumes): Lanczos and Krylov matrix exponential
 
 
+def _lanczos_step(matvec, basis: np.ndarray, j: int, alphas: list,
+                  betas: list) -> float:
+    """Lanczos step j, fully reorthogonalized (twice) against rows 0..j of
+    the preallocated ``basis``: appends alpha_j to ``alphas``, writes row
+    j+1 unless beta_j < 1e-14 or no row is left, and returns beta_j."""
+    q = basis[j]
+    w = matvec(q)
+    alphas.append(float(q @ w))
+    w = w - alphas[-1] * q - (betas[-1] * basis[j - 1] if j else 0.0)
+    done = basis[:j + 1]
+    for _ in range(2):
+        w -= done.T @ (done @ w)
+    b = float(np.linalg.norm(w))
+    if b >= 1e-14 and j + 1 < len(basis):
+        basis[j + 1] = w / b
+    return b
+
+
 def lanczos_extreme(matvec, n: int, k: int, *, which: str = "LA",
                     max_iter: Optional[int] = None, tol: float = 1e-10,
                     seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
@@ -407,32 +425,21 @@ def lanczos_extreme(matvec, n: int, k: int, *, which: str = "LA",
         raise DomainError("need k >= 1 eigenpairs")
     max_iter = max_iter or min(n, max(6 * k + 40, 80))
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    basis = [v]
+    basis = np.empty((max_iter, n))
+    basis[0] = rng.standard_normal(n)
+    basis[0] /= np.linalg.norm(basis[0])
     alphas, betas = [], []
     for j in range(max_iter):
-        w = matvec(basis[-1])
-        a = float(basis[-1] @ w)
-        alphas.append(a)
-        w = w - a * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        # full reorthogonalization, twice for safety
-        for _ in range(2):
-            w -= np.asarray(basis).T @ (np.asarray(basis) @ w)
-        b = float(np.linalg.norm(w))
+        b = _lanczos_step(matvec, basis, j, alphas, betas)
         if j + 1 >= k:
             theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas)
             order = np.argsort(theta)[::-1] if which == "LA" else np.argsort(theta)
             resid = abs(b * s[-1, order[:k]])
             if np.all(resid <= tol) or b < 1e-14:
-                vecs = np.asarray(basis).T @ s[:, order[:k]]
-                return theta[order[:k]], vecs
+                return theta[order[:k]], basis[:j + 1].T @ s[:, order[:k]]
         if b < 1e-14:
             break
         betas.append(b)
-        basis.append(w / b)
     raise CertificationError(
         f"Lanczos did not converge {k} eigenpairs in {max_iter} iterations")
 
@@ -444,37 +451,27 @@ def expm_action(matvec, v: np.ndarray, ts, *, m_start: int = 30,
     Returns an array of shape (len(ts), len(v)); a scalar ``ts`` yields
     shape (len(v),).  The Krylov dimension doubles until two successive
     approximations of every requested exp(t A) v agree to ``tol``
-    (relative to ||v||).
+    (relative to ||v||); each doubling extends the same Lanczos basis.
     """
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
-    n = len(v)
     beta = float(np.linalg.norm(v))
     if beta == 0.0:
-        out = np.zeros((len(ts_arr), n))
+        out = np.zeros((len(ts_arr), len(v)))
         return out if np.ndim(ts) else out[0]
+    basis = np.empty((max(m_start, m_max), len(v)))
+    basis[0] = v / beta
+    alphas, betas = [], []
 
-    def krylov(m):
-        basis = [v / beta]
-        alphas, betas = [], []
-        for _ in range(m):
-            w = matvec(basis[-1])
-            a = float(basis[-1] @ w)
-            alphas.append(a)
-            w = w - a * basis[-1]
-            if len(basis) > 1:
-                w = w - betas[-1] * basis[-2]
-            for _ in range(2):
-                w -= np.asarray(basis).T @ (np.asarray(basis) @ w)
-            b = float(np.linalg.norm(w))
-            if b < 1e-14:
-                break
-            betas.append(b)
-            basis.append(w / b)
-        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:len(alphas) - 1])
+    def krylov(m):  # from the first m steps, fewer if the space is exhausted
+        while len(alphas) < m and not (betas and betas[-1] < 1e-14):
+            betas.append(_lanczos_step(matvec, basis, len(alphas), alphas,
+                                       betas))
+        used = len(alphas)
+        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:used - 1])
         # exp(t T) e1 through the tridiagonal eigendecomposition
         weights = s * s[0]  # row 0 of S scaled into columns
         coeff = np.exp(np.outer(ts_arr, theta)) @ weights.T
-        return beta * (coeff @ np.asarray(basis[:len(alphas)])), len(alphas)
+        return beta * (coeff @ basis[:used]), used
 
     prev, used = krylov(m_start)
     m = m_start

@@ -109,6 +109,14 @@ def run_selftest(verbose: bool = False) -> int:
     check("p1 contour vs deleted matrix exponential",
           abs(p1 - oracle) <= pa.p**g8.depth * 3.0 + 1e-8)
 
+    # J_0(T) vs the deleted spectral sum: for T <= 1 the gap stays at T = 0's
+    ev, vecs = np.linalg.eigh(deleted)
+    gaps = [ann.p1_tail_integral(pa, T, 2)
+            - float(np.sum(vecs[1, :] ** 2 * np.exp(ev * T) / -ev))
+            for T in (0.0, 0.5, 1.0)]
+    check("p1 tail integral vs deleted spectral sum (N=8)",
+          max(abs(g - gaps[0]) for g in gaps) < 1e-7)
+
     failures = sum(1 for _, ok in checks if not ok)
     if verbose:
         print(f"{len(checks) - failures}/{len(checks)} selftest checks passed")

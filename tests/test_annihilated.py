@@ -20,12 +20,22 @@ from hierspec.lattice import LatticeParams, rho_of_distance
 
 PA_2_HALF = LatticeParams(2, 0.5)
 PA_2_QUARTER = LatticeParams(2, 0.25)
+PA_4_HALF = LatticeParams(4, 0.5)
 
 
 def deleted_dense(pa, depth):
     """Volume Laplacian with the x0 = 0 row and column removed."""
     g = VolumeGrid(pa, depth)
     return assemble_dense(g)[1:, 1:]
+
+
+def spectral_tail(weights, ev, T, gamma):
+    """int_T^inf t**-gamma sum_j w_j e**(ev_j t) dt for eigenpairs ev_j < 0."""
+    mu = -ev
+    if gamma == 0.0:
+        return float(np.sum(weights * np.exp(-mu * T) / mu))
+    a = 1.0 - gamma
+    return T**a * float(np.sum(weights * cf._scaled_upper_gamma(a, mu * T)))
 
 
 class TestTilde:
@@ -193,3 +203,91 @@ class TestTailIntegrals:
     def test_negative_t_rejected(self):
         with pytest.raises(DomainError):
             ann.p1_tail_integral(PA_2_HALF, -1.0, 1)
+
+
+class TestSpectralMeasure:
+    """The killed walk's measure: atoms p**s, s < r, and one root of the
+    free resolvent R(-mu) per gap (p**(j+1), p**j)."""
+
+    @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_2_HALF, PA_4_HALF])
+    def test_identities(self, pa):
+        # sum c = p1(0) = 1; sum c/mu = R1(0) up to the roots left out,
+        # whose share decays slowly only near s_h = 2
+        for r in (1, 2, 3):
+            mu, c, tail = ann._measure(pa, r)
+            assert float(np.sum(c)) == pytest.approx(1.0, abs=1e-15)
+            assert tail <= 1e-40
+            short = (ann.annihilated_resolvent_zero(pa, r)
+                     - float(np.sum(c / mu)))
+            assert -1e-14 <= short <= (0.1 if pa is PA_2_HALF else 1e-3)
+
+    @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_2_HALF, PA_4_HALF])
+    def test_kernel_and_resolvent(self, pa):
+        for r in (1, 2, 3):
+            mu, c, _ = ann._measure(pa, r)
+            for t in (1.0, 5.0, 50.0, 1e3, 1e4):
+                assert float(np.sum(c * np.exp(-mu * t))) == pytest.approx(
+                    ann.p1_diag(pa, t, r), abs=1e-10)
+            for lam in (0.01, 0.3, 2.0, 50.0):
+                assert float(np.sum(c / (lam + mu))) == pytest.approx(
+                    ann.resolvent_annihilated(pa, lam, r).real, abs=1e-13)
+
+    def test_weighted_tail_exact_values(self):
+        # 30-digit Stieltjes integrals (sin(pi g)/pi) Gamma(1-g)
+        # int_0^inf lam**(g-1) R1(lam) dlam at g = 0.8
+        assert ann.p1_weighted_tail_integral(
+            PA_2_QUARTER, 0.0, 0.8, 1) == pytest.approx(5.168592327705341,
+                                                        abs=1e-12)
+        assert ann.p1_weighted_tail_integral(
+            PA_2_QUARTER, 0.0, 0.8, 2) == pytest.approx(5.7531066973980005,
+                                                        abs=1e-12)
+
+    def test_tail_exact_value_far_from_x0(self):
+        # sum (c/mu) e**(-mu T) with the roots and weights solved in
+        # 30-digit arithmetic (110 roots, 260 atoms per resolvent sum)
+        assert ann.p1_tail_integral(PA_2_QUARTER, 163840.0, 6) == \
+            pytest.approx(2.7895325824073086292, abs=1e-12)
+        assert ann.p1_tail_integral(PA_2_QUARTER, 0.5, 6) == \
+            pytest.approx(94.561867882804779311, abs=1e-10)
+
+    @pytest.mark.parametrize("pa, depth", [(PA_2_HALF, 8), (PA_4_HALF, 5)])
+    def test_against_deleted_spectral_oracle(self, pa, depth):
+        # as in TestTailIntegrals: the finite volume moves only the slow
+        # modes, so over T <= 1 the gap to the spectral sum of the deleted
+        # operator stays at its T = 0 value (J_0) or its T = 1/4 value
+        ev, q = np.linalg.eigh(deleted_dense(pa, depth))
+        for r, x in [(1, 1), (2, pa.nu)]:
+            w = q[x - 1, :] ** 2
+            gap0 = ann.p1_tail_integral(pa, 0.0, r) - float(np.sum(w / -ev))
+            for T in (0.25, 0.5, 1.0):
+                assert ann.p1_tail_integral(pa, T, r) - spectral_tail(
+                    w, ev, T, 0.0) == pytest.approx(gap0, abs=1e-7)
+            # gamma = 0.1 needs the deeper measure near s_h = 2
+            for gamma in (0.1, 1.4):
+                gaps = [ann.p1_weighted_tail_integral(pa, T, gamma, r)
+                        - spectral_tail(w, ev, T, gamma)
+                        for T in (0.25, 0.5, 1.0)]
+                assert gaps == pytest.approx([gaps[0]] * 3, abs=1e-7)
+
+    @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_2_HALF, PA_4_HALF])
+    def test_monotone_in_T(self, pa):
+        lower = [0.0] + [0.1 * 2.0**k for k in range(20)]
+        for gamma in (0.0, 0.1, 0.8, 1.0, 1.4):
+            vals = [ann.p1_tail_integral(pa, T, 2) if gamma == 0.0
+                    else ann.p1_weighted_tail_integral(pa, T, gamma, 2)
+                    for T in lower[gamma >= 1.0:]]
+            assert all(a >= b for a, b in zip(vals, vals[1:])), gamma
+            assert vals[-1] > 0.0
+
+    @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_4_HALF])
+    def test_large_gamma_against_mpmath(self, pa):
+        # sum c mu**39 Gamma(-39, mu T): each Gamma alone overflows
+        import mpmath
+        mu, c, _ = ann._measure(pa, 2)
+        with mpmath.workdps(30):
+            exact = mpmath.fsum(
+                mpmath.mpf(cj) * mpmath.mpf(m) ** 39
+                * mpmath.gammainc(-39, mpmath.mpf(m) * 0.5, mpmath.inf)
+                for m, cj in zip(mu, c))
+        assert ann.p1_weighted_tail_integral(pa, 0.5, 40.0, 2) == \
+            pytest.approx(float(exact), rel=1e-12)

@@ -167,6 +167,18 @@ class TestBoundsCommand:
         for row in by_theorem["bargmann"]:
             assert float(row[6]) >= 1.0
 
+    def test_large_gamma_weights_stay_finite(self):
+        # gamma = 40 makes each Gamma(1-gamma, x) of the tail weights
+        # overflow on its own; the weights themselves are finite
+        out = run_cli(["bounds", "--nu", "4", "--p", "0.5", "--depth", "3",
+                       "--gamma", "40", "--sigma", "1", "--thetas", "1,2",
+                       "--radius", "2", "--theorems",
+                       "lt-weighted,lt-general-weighted"])
+        assert out.returncode == 0, out.stderr
+        rows = parse_csv(out.stdout)[1:]
+        assert len(rows) == 4
+        assert all(0.0 < float(row[6]) < float("inf") for row in rows)
+
 
 class TestImports:
     def test_mpmath_not_loaded(self):

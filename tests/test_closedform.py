@@ -383,12 +383,33 @@ class TestGreenTail:
     def test_upper_gamma_against_mpmath(self):
         import mpmath  # test-only oracle (the "test" extra)
         # a just below 0 and -1 is where a downward recurrence from
-        # Gamma(a+1, x) would cancel
+        # Gamma(a+1, x) would cancel; the kernel is x**-a Gamma(a, x)
         for a in (0.9, 0.2, 0.0, -1e-8, -1e-6, -1e-4, -0.5, -0.9999, -1.0,
                   -1.0 - 1e-6, -1.5, -2.0 - 1e-6, -2.3, -5.5):
             for x in np.concatenate([[1e-12, 1e-6], np.linspace(0.01, 30, 60)]):
-                exact = float(mpmath.gammainc(a, x, mpmath.inf))
-                assert cf._upper_gamma(a, x) == pytest.approx(exact, rel=1e-10)
+                exact = float(mpmath.mpf(x) ** -a
+                              * mpmath.gammainc(a, x, mpmath.inf))
+                assert cf._scaled_upper_gamma(a, x) == pytest.approx(
+                    exact, rel=1e-10)
+
+    def test_large_gamma_against_mpmath(self):
+        # gamma = 40: Gamma(-39, p**s T) alone overflows a double while the
+        # terms, (p**s)**39 Gamma(-39, p**s T), stay finite
+        import mpmath
+        for x in (1e-12, 0.03, 0.5, 2.0, 30.0):
+            exact = float(mpmath.mpf(x) ** 39
+                          * mpmath.gammainc(-39, x, mpmath.inf))
+            assert cf._scaled_upper_gamma(-39.0, x) == pytest.approx(
+                exact, rel=1e-10)
+        for pa in (PA_2_QUARTER, PA_4_HALF):
+            q = mpmath.mpf(pa.p) ** 39 / pa.nu
+            with mpmath.workdps(30):
+                exact = (1 - mpmath.mpf(1) / pa.nu) * mpmath.nsum(
+                    lambda s: q**s * mpmath.gammainc(
+                        -39, mpmath.mpf(pa.p) ** s * 0.5, mpmath.inf),
+                    [0, mpmath.inf])
+            assert cf.green_tail_integral(pa, 0.5, 40.0) == pytest.approx(
+                float(exact), rel=1e-12)
 
     def test_gamma_next_to_pole_against_mpmath(self):
         # gamma = 1 + eps and 2 + eps put a = 1 - gamma next to a pole of
