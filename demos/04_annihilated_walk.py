@@ -45,7 +45,7 @@ for r in (1, 3, 6):
     print(f"  r={r}: ratios over three decades "
           f"{', '.join(f'{v:.4f}' for v in ratios)}")
 
-print("\ntail integrals int_T^inf p1 dt (sector-contour evaluation):")
+print("\ntail integrals int_T^inf p1 dt (sums over the spectral measure):")
 for T in (0.0, 1.0, 10.0, 100.0):
     print(f"  T={T:5.1f}: {p1_tail_integral(params, T, 2):.8f}")
 

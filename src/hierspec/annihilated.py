@@ -15,14 +15,11 @@ R1 is a Stieltjes function, R1(lam) = sum c/(lam + mu), over atoms at
 mu = p**s (s <= r-2) of weight (1-1/nu) nu**-s, one at p**(r-1) of
 weight nu**(1-r) (nu-2)/(nu-1), and in each gap (p**(j+1), p**j) the
 zero mu_j of the free resolvent R(-mu), of weight Rt(-mu_j)**2/-R'(-mu_j);
-sum c = 1 and sum c/mu = R1(0).  int_T^inf t**-gamma p1 dt is the
-certified sum of c mu**(gamma-1) Gamma(1-gamma, mu T) over it.
-
-The kernel diagonal p1(t,x,x) is an inverse Laplace transform along the
-boundary of the sector |arg lam| < 3*pi/4 of R1 - R1_0 (a constant adds
-nothing there; the truncation is bounded by 1/|Im lam| + |R1_0|); for
-t < 1 it is a Krylov exponential of the x0-deleted operator on a finite
-volume (boundary leak ~ p**depth * t).
+sum c = 1 and sum c/mu = R1(0).  For t >= 1 the kernel diagonal
+p1(t,x,x) is the certified sum of c e**(-mu t) over it, and
+int_T^inf t**-gamma p1 dt that of c mu**(gamma-1) Gamma(1-gamma, mu T).
+For t < 1, p1 is a Krylov exponential of the x0-deleted operator on a
+finite volume (boundary leak ~ p**depth * t).
 """
 
 import cmath
@@ -37,8 +34,6 @@ from .closedform import (SECTOR_ANGLE, _atom, _last_index, _scaled_upper_gamma,
                          _sum_atoms, resolvent, resolvent_zero)
 from .hierops import VolumeGrid, apply_laplacian, expm_action
 from .lattice import LatticeParams
-
-_RAY = cmath.exp(1j * SECTOR_ANGLE)
 
 
 def _check_r(r: int):
@@ -111,88 +106,6 @@ def resolvent_annihilated(params: LatticeParams, lam: complex, r: int,
     return value
 
 
-def _r1_array(params: LatticeParams, lam: np.ndarray, tol: float,
-              r: int) -> np.ndarray:
-    """R1 over an array of sector points.  Contour weights scale
-    like |lam|, which cancels the 1/|lam| growth of the series tail of R,
-    so stopping at 91 nu**-(s+1) <= tol certifies sum_i w_i err(lam_i) <=
-    tol for node sets with sum w_i/|lam_i| <= 64, as the panels here have.
-    """
-    tilde = _tilde(params, lambda loc: lam + loc, r)
-    diag = _pole_sum(params, lambda loc: lam + loc,
-                     _last_index(0, 91.0, 1.0 / params.nu, tol))
-    return -2.0 * tilde - tilde * tilde / diag
-
-
-# ---------------------------------------------------------------------------
-# contour integral (t >= 1)
-
-
-@lru_cache(maxsize=None)
-def _gl_nodes(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _panel_edges(u_lo: float, u_hi: float, t: float) -> np.ndarray:
-    """Geometric panels refined so each spans <= ~6 radians of e^{iut/sqrt2}."""
-    edges = [u_hi]
-    u = u_hi
-    while u > u_lo:
-        u = max(u / 2.0, u_lo)
-        edges.append(u)
-    edges = np.array(edges[::-1])
-    out = [edges[0]]
-    max_width = 6.0 * math.sqrt(2.0) / t
-    for a, b in zip(edges, edges[1:]):
-        pieces = max(1, int(math.ceil((b - a) / max_width)))
-        out.extend(a + (b - a) * np.arange(1, pieces + 1) / pieces)
-    return np.asarray(out)
-
-
-def _contour_p1(params: LatticeParams, t: float, r: int,
-                tol: float) -> tuple[float, float]:
-    """Sector-boundary inverse Laplace for p1(t,x,x); returns (value, err)."""
-    a0 = annihilated_resolvent_zero(params, r)
-    # truncation radius: (1/pi) e^{-Ut/sqrt2} (2/(Ut) + sqrt2 |a0|/t) <= tol/4
-    c = math.sqrt(2.0) / t
-    u_hi = c
-    for _ in range(200):
-        bound = (math.exp(-u_hi / c) * (2.0 / (u_hi * t) + abs(a0) * c)
-                 / math.pi)
-        if bound <= tol / 4.0:
-            break
-        u_hi *= 1.5
-    else:
-        raise CertificationError("could not certify contour truncation")
-    # inner cutoff: the integrand is bounded near 0 (R1 -> a0)
-    u_lo = u_hi * 1e-14
-
-    def segment(lam_flat):
-        return np.exp(lam_flat * t) * (
-            _r1_array(params, lam_flat, tol * 0.25, r) - a0)
-
-    def integrate(n_gl):
-        nodes, weights = _gl_nodes(n_gl)
-        edges = _panel_edges(u_lo, u_hi, t)
-        a, b = edges[:-1], edges[1:]
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        f = segment(u * _RAY).reshape(len(a), n_gl)
-        return complex((half * (f @ weights)).sum())
-
-    i16, i32 = integrate(16), integrate(32)
-    node_err = abs(i32 - i16) / math.pi
-    # contribution of (0, u_lo): integrand bounded by its size nearby
-    probe = np.abs(segment(np.array([u_lo, u_lo / 2.0]) * _RAY)).max()
-    inner_err = 4.0 * u_lo * probe / math.pi
-    value = (_RAY * i32).imag / math.pi
-    err = node_err + inner_err + tol / 4.0
-    if err > tol:
-        raise CertificationError(
-            f"contour integral error estimate {err:.3g} exceeds {tol:.3g}")
-    return value, err
-
-
 # ---------------------------------------------------------------------------
 # small-t path: Krylov exponential of the deleted operator on a finite volume
 
@@ -238,25 +151,8 @@ def p1_small_t(params: LatticeParams, ts, r: int,
     return vals if np.ndim(ts) else float(vals[0])
 
 
-def p1_diag(params: LatticeParams, t: float, r: int, tol: float = 1e-10,
-            depth: int | None = None) -> float:
-    """Annihilated-kernel diagonal p1(t, x, x) at distance r from x0.
-
-    t >= 1 uses the certified sector-contour integral; t < 1 delegates
-    to the finite-volume matrix exponential (error ~ p**depth * t).
-    Always in [0, 1].
-    """
-    _check_r(r)
-    if t < 0:
-        raise DomainError("time must be nonnegative")
-    if t < 1.0:
-        return float(p1_small_t(params, float(t), r, depth=depth))
-    value, _ = _contour_p1(params, t, r, tol)
-    return min(max(value, 0.0), 1.0)
-
-
 # ---------------------------------------------------------------------------
-# time integrals of p1: certified sums over the spectral measure
+# the kernel and its time integrals: certified sums over the spectral measure
 
 _ROUNDING = 1e-14  # relative rounding allowance of a sum over the measure
 
@@ -310,6 +206,30 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
                         ** 2 / slope])
     mu.flags.writeable = c.flags.writeable = False
     return mu, c, tail
+
+
+def p1_diag(params: LatticeParams, t: float, r: int, tol: float = 1e-10,
+            depth: int | None = None) -> float:
+    """Annihilated-kernel diagonal p1(t, x, x) at distance r from x0.
+
+    t >= 1 sums c e**(-mu t) over the spectral measure; the roots left
+    out add at most their weight tail, so the error is <= tail + rounding
+    and CertificationError is raised when that exceeds ``tol``.  t < 1
+    delegates to the finite-volume matrix exponential (error
+    ~ p**depth * t).
+    """
+    _check_r(r)
+    if t < 0:
+        raise DomainError("time must be nonnegative")
+    if t < 1.0:
+        return float(p1_small_t(params, float(t), r, depth=depth))
+    mu, c, tail = _measure(params, r, 1e-40)  # _measure_integral's cache key
+    value = float(np.sum(c * np.exp(-mu * t)))
+    bound = tail + _ROUNDING * value
+    if bound > tol:
+        raise CertificationError(
+            f"p1 at t={t}: bound {bound:.3g} exceeds {tol:.3g}")
+    return value
 
 
 def _measure_integral(params: LatticeParams, T: float, gamma: float, r: int,

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import annihilated as ann
 from . import closedform as cf
-from .bounds import REPORT_COLUMNS, bound_report
+from .bounds import REPORT_COLUMNS, _format_cell, bound_report
 from .errors import CertificationError, DomainError
 from .hierops import VolumeGrid, dense_spectrum, dirichlet_spectrum, \
     haar_spectrum
@@ -31,12 +31,6 @@ from .schrodinger import (Potential, count_and_sums, delta_potential,
                           potential_from_json, powerlaw_potential)
 
 EXIT_OK, EXIT_DOMAIN, EXIT_CERTIFICATION = 0, 1, 2
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _emit(args, columns, rows, meta):
@@ -49,11 +43,11 @@ def _emit(args, columns, rows, meta):
     else:
         buf = io.StringIO()
         for key in sorted(meta):
-            buf.write(f"# {key}={_fmt(meta[key])}\r\n")
+            buf.write(f"# {key}={_format_cell(meta[key])}\r\n")
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_format_cell(v) for v in row])
         text = buf.getvalue()
     if args.output:
         with open(args.output, "w", newline="") as handle:

@@ -306,11 +306,6 @@ class HaarBasis:
         return self.inverse(coeffs / denom[:, None])
 
 
-def haar_diagonalize(grid: VolumeGrid) -> HaarBasis:
-    """Build the orthonormal hierarchical eigenbasis for the volume."""
-    return HaarBasis(grid)
-
-
 # ---------------------------------------------------------------------------
 # spectra
 

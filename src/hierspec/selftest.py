@@ -103,10 +103,10 @@ def run_selftest(verbose: bool = False) -> int:
     check("a(3) closed form at p*nu = 1/2",
           abs(ann.a_coefficient(LatticeParams(2, 0.25), 3) - 11.0) < 1e-12)
 
-    # p1 via contour vs deleted-operator matrix exponential
+    # p1 as a sum over the spectral measure vs deleted-operator expm
     p1 = ann.p1_diag(pa, 3.0, 2)
     oracle = scipy.linalg.expm(3.0 * deleted)[1, 1]
-    check("p1 contour vs deleted matrix exponential",
+    check("p1 measure sum vs deleted matrix exponential",
           abs(p1 - oracle) <= pa.p**g8.depth * 3.0 + 1e-8)
 
     # J_0(T) vs the deleted spectral sum: for T <= 1 the gap stays at T = 0's

@@ -1,7 +1,8 @@
 """Annihilated walk: rank-one resolvent algebra, kernel, tail integrals.
 
 Oracles: dense resolvents/exponentials of the row/column-deleted
-operator on finite volumes.  Agreement tolerances account for the
+operator on finite volumes, and 30-digit mpmath sums and Laplace
+inversions of the closed forms.  Agreement tolerances account for the
 finite-volume boundary leak where it applies.
 """
 
@@ -14,7 +15,7 @@ import scipy.linalg
 
 import hierspec.annihilated as ann
 import hierspec.closedform as cf
-from hierspec.errors import DomainError
+from hierspec.errors import CertificationError, DomainError
 from hierspec.hierops import VolumeGrid, assemble_dense
 from hierspec.lattice import LatticeParams, rho_of_distance
 
@@ -36,6 +37,18 @@ def spectral_tail(weights, ev, T, gamma):
         return float(np.sum(weights * np.exp(-mu * T) / mu))
     a = 1.0 - gamma
     return T**a * float(np.sum(weights * cf._scaled_upper_gamma(a, mu * T)))
+
+
+def r1_mp(pa, lam, r, terms=200):
+    """Closed-form R1 = -2 Rt - Rt**2 / R at complex lam in mpmath, with
+    R cut after ``terms`` atoms (the rest weigh nu**-terms in all)."""
+    import mpmath
+    nu, p = mpmath.mpf(pa.nu), mpmath.mpf(pa.p)
+    w = [(1 - 1 / nu) * nu**-s for s in range(terms)]
+    free = mpmath.fsum(w[s] / (lam + p**s) for s in range(terms))
+    tilde = (-1 / ((lam + p ** (r - 1)) * nu**r)
+             - mpmath.fsum(w[s] / (lam + p**s) for s in range(r)))
+    return -2 * tilde - tilde**2 / free
 
 
 class TestTilde:
@@ -127,6 +140,24 @@ class TestP1:
             for r, x in [(1, 1), (2, 2), (3, 4)]:
                 allowed = pa.p**8 * t + 1e-8
                 assert abs(ann.p1_diag(pa, t, r) - e_t[x - 1, x - 1]) <= allowed
+
+    @pytest.mark.parametrize("pa, r, t", [
+        (PA_2_QUARTER, 1, 1.0), (PA_2_QUARTER, 1, 1e3),
+        (PA_4_HALF, 3, 1.0), (PA_4_HALF, 3, 30.0)])
+    def test_against_talbot_inversion(self, pa, r, t):
+        # 30-digit Talbot inversion of the closed-form R1: independent of
+        # the spectral measure that p1_diag sums for t >= 1
+        import mpmath
+        with mpmath.workdps(30):
+            exact = mpmath.invertlaplace(lambda lam: r1_mp(pa, lam, r), t,
+                                         method="talbot")
+        assert ann.p1_diag(pa, t, r) == pytest.approx(float(exact),
+                                                      abs=1e-14, rel=1e-12)
+
+    def test_certification_failure(self):
+        # the rounding allowance alone exceeds tol = 1e-20
+        with pytest.raises(CertificationError):
+            ann.p1_diag(PA_2_QUARTER, 2.0, 1, tol=1e-20)
 
     def test_dominated_by_free_kernel(self):
         for t in (0.5, 2.0, 50.0):
@@ -222,12 +253,9 @@ class TestSpectralMeasure:
             assert -1e-14 <= short <= (0.1 if pa is PA_2_HALF else 1e-3)
 
     @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_2_HALF, PA_4_HALF])
-    def test_kernel_and_resolvent(self, pa):
+    def test_resolvent(self, pa):
         for r in (1, 2, 3):
             mu, c, _ = ann._measure(pa, r)
-            for t in (1.0, 5.0, 50.0, 1e3, 1e4):
-                assert float(np.sum(c * np.exp(-mu * t))) == pytest.approx(
-                    ann.p1_diag(pa, t, r), abs=1e-10)
             for lam in (0.01, 0.3, 2.0, 50.0):
                 assert float(np.sum(c / (lam + mu))) == pytest.approx(
                     ann.resolvent_annihilated(pa, lam, r).real, abs=1e-13)
