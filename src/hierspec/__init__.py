@@ -32,8 +32,6 @@ from .schrodinger import (EigenReport, Potential, count_above_threshold,
                           potential_from_json, potential_to_json,
                           powerlaw_potential, secular_coupling_threshold,
                           secular_eigenvalue, volume_coupling_threshold)
-from .bounds import (BoundReport, bargmann_functionals, bound_report,
-                     clr_functional, clr_general_functional,
-                     evaluate_functionals, fitted_constant_range,
-                     lt_functional, lt_general_functional, report_to_csv,
+from .bounds import (BoundReport, bound_report, evaluate_functionals,
+                     fitted_constant_range, functional, report_to_csv,
                      report_to_json)

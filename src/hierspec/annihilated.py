@@ -29,7 +29,8 @@ from itertools import count
 
 import numpy as np
 
-from .errors import CertificationError, DomainError, SpectrumProximityError
+from .errors import (CertificationError, DivergentIntegralError, DomainError,
+                     SpectrumProximityError)
 from .closedform import (SECTOR_ANGLE, _atom, _last_index, _scaled_upper_gamma,
                          _sum_atoms, resolvent, resolvent_zero)
 from .hierops import VolumeGrid, apply_laplacian, expm_action
@@ -290,8 +291,9 @@ def p1_weighted_tail_integral(params: LatticeParams, T: float, gamma: float,
     """int_T^inf t**(-gamma) p1(t, x, x) dt for gamma > 0.
 
     The sum of c mu**(gamma-1) Gamma(1-gamma, mu T) over the spectral
-    measure, certified to 1e-12 relative.  gamma >= 1 needs T > 0 (the
-    integrand is not integrable at t = 0).
+    measure, certified to 1e-12 relative.  gamma >= 1 needs T > 0: at
+    T = 0 the integrand is not integrable and
+    :class:`DivergentIntegralError` is raised, as for the free walk.
     """
     _check_r(r)
     if gamma <= 0:
@@ -299,6 +301,6 @@ def p1_weighted_tail_integral(params: LatticeParams, T: float, gamma: float,
     if T < 0:
         raise DomainError("lower limit must be nonnegative")
     if T == 0.0 and gamma >= 1.0:
-        raise DomainError(
+        raise DivergentIntegralError(
             "t**(-gamma) p1 is not integrable at t=0 for gamma >= 1")
     return _measure_integral(params, T, gamma, r, 1e-12)

@@ -7,29 +7,32 @@ the fitted constant actual/functional.  Theorems only prove such a
 constant exists, so finiteness and stability of the fitted constants
 across potential sweeps is the testable content.
 
-Available functionals (``theorem`` tags in parentheses):
+:func:`functional` evaluates one theorem tag.  Six tags are tail
+forms, a head plus a sum over the support of V of a power of V times
+a walk's time integral W_g(T) = int_T^inf t**(-g) p(t,x,x) dt at
+T = sigma/V(x):
 
-* transient CLR (``clr``):      #{V > a} + sum_{V<=a} V(x) I_0(sigma/V(x))
-* transient LT  (``lt``):       sum V**(1+gamma)(x) I_0(sigma/V(x))
-* weighted LT   (``lt-weighted``): 2 gamma Gamma(gamma) sum V(x) I_gamma(sigma/V(x))
-* general CLR   (``clr-general``): 1 + #{V > a} + sum_{V<=a} V(x) J_0(sigma/V(x))
-* general LT    (``lt-general``):  Lam**gamma + sum V**(1+gamma)(x) J_0(sigma/V(x))
-* general weighted LT (``lt-general-weighted``):
-                               Lam**gamma + 2 gamma Gamma(gamma) sum V(x) J_gamma(sigma/V(x))
-* Bargmann classic (``bargmann``, s_h < 2):
-      1 + #{V >= 1} + sum_{V<1} V(x) rho(x0,x)**(2-s_h)
-* Bargmann uniform (``bargmann-uniform``, any s_h):
-      1 + #{V >= 1} + sum_{V<1} V(x) ([1+rho]**(2-s_h) - 1)/((1/sqrt(p))**(2-s_h) - 1)
+    free walk    killed walk          head (free | killed)  summand
+    clr          clr-general          #{V>a} | 1 + #{V>a}   V W_0, V <= a only
+    lt           lt-general           0 | Lam**gamma        V**(1+gamma) W_0
+    lt-weighted  lt-general-weighted  0 | Lam**gamma        c V W_gamma
+
+with c = 2 gamma Gamma(gamma), W = I for the free walk and W = J for
+the walk killed at x0.  I_0 needs the transient regime p*nu > 1 and
+I_g (g > 0) needs g + s_h/2 > 1; J_g is finite for every s_h > 0, and
+its sums skip x0, where the kernel vanishes.  T = 0 needs g < 1.  Lam
+is the largest eigenvalue of L + V.  Divergent weights flag the report
+instead of producing a number.
+
+Three tags are Bargmann forms, 1 + #{V >= 1} + sum_{V<1} w(V(x), rho)
+with rho = rho(x0, x):
+
+* classic (``bargmann``, s_h < 2):  w = V rho**(2-s_h)
+* uniform (``bargmann-uniform``, any s_h):
+      w = V ([1+rho]**(2-s_h) - 1)/((1/sqrt(p))**(2-s_h) - 1)
       (the s_h = 2 limit replaces the ratio by ln(1+rho)/ln(1/sqrt(p)))
-* Bargmann refined (``bargmann-refined``, s_h < 2):
-      1 + #{V >= 1} + sum_{V<1} V**(2-s_h/2)(x) [1+rho**2]**(2-s_h)
-
-where I_g(T) = int_T^inf t**(-g) p(t,x,x) dt (heat kernel of the free
-walk; transient regime needed for g=0) and J_g(T) is the same integral
-for the walk annihilated at x0 (finite for every s_h > 0; the sigma=0,
-g=0 value is the closed form a(r)).  Lam is the largest eigenvalue of
-L + V.  Divergent weights flag the report instead of producing a
-number.
+* refined (``bargmann-refined``, s_h < 2):
+      w = V**(2-s_h/2) [1+rho**2]**(2-s_h)
 """
 
 import csv
@@ -81,188 +84,104 @@ class BoundReport:
         return self
 
 
-def _split_by_level(potential: Potential, a: float):
-    above = {s: v for s, v in potential.support.items() if v > a}
-    below = {s: v for s, v in potential.support.items() if 0.0 < v <= a}
-    return above, below
+#: tail forms, theorem -> (walk killed at the origin?, form)
+_TAIL_FORMS = {"clr": (False, "clr"), "lt": (False, "lt"),
+               "lt-weighted": (False, "lt-weighted"),
+               "clr-general": (True, "clr"), "lt-general": (True, "lt"),
+               "lt-general-weighted": (True, "lt-weighted")}
+_BARGMANN_TAGS = ("bargmann", "bargmann-uniform", "bargmann-refined")
+#: the Bargmann forms that need s_h < 2
+_SUBCRITICAL_TAGS = ("bargmann", "bargmann-refined")
 
 
-def clr_functional(grid: VolumeGrid, potential: Potential, a: float = 1.0,
-                   sigma: float = 0.0) -> BoundReport:
-    """Transient-case counting functional (cardinality + weighted sum).
+def _bargmann_term(params: LatticeParams, theorem: str):
+    """(V(x), rho(x0,x)) -> summand of one Bargmann form."""
+    s_h = params.s_h
+    e = 2.0 - s_h
+    if theorem in _SUBCRITICAL_TAGS and s_h >= 2.0:
+        raise DomainError(f"{theorem} needs s_h < 2 (s_h={s_h:.6g})")
+    if theorem == "bargmann":
+        return lambda v, rho: v * rho**e
+    if theorem == "bargmann-refined":
+        return lambda v, rho: v ** (2.0 - s_h / 2.0) * (1.0 + rho**2) ** e
+    sqrtp_inv = 1.0 / math.sqrt(params.p)
+    if s_h == 2.0:
+        return lambda v, rho: v * math.log(1.0 + rho) / math.log(sqrtp_inv)
+    denom = sqrtp_inv**e - 1.0
+    return lambda v, rho: v * ((1.0 + rho) ** e - 1.0) / denom
 
-    Requires p*nu > 1; in the recurrent regime every tail integral
-    diverges and the report is flagged instead.
+
+def _tail_weight(params: LatticeParams, killed: bool, g: float, x0: Site):
+    """(T, x) -> int_T^inf t**(-g) p(t,x,x) dt of the free or killed walk."""
+    if not killed:
+        return lambda T, site: green_tail_integral(params, T, g)
+
+    def weight(T, site):
+        r = hier_distance(x0, site, params.nu)
+        if g == 0.0:
+            return p1_tail_integral(params, T, r)
+        return p1_weighted_tail_integral(params, T, g, r)
+    return weight
+
+
+def functional(grid: VolumeGrid, potential: Potential, theorem: str,
+               a: float = 1.0, sigma: float = 0.0, gamma: float = 1.0,
+               largest_eigenvalue: float | None = None) -> BoundReport:
+    """Evaluate the functional tagged ``theorem`` (see the module table).
+
+    Counting forms use ``a`` (tail forms) and ignore ``gamma``;
+    power-sum forms need ``gamma > 0``.  The killed walk is killed at
+    ``potential.origin``.  ``largest_eigenvalue`` (Lam) is computed from
+    the exact positive spectrum when a general LT form needs it and it
+    is not supplied.  A divergent weight flags the report.
     """
-    params = grid.params
-    report = BoundReport("clr", params, a=a, sigma=sigma)
-    above, below = _split_by_level(potential, a)
-    report.components["cardinality"] = float(len(above))
+    if sigma < 0:
+        raise DomainError("sigma must be nonnegative")
+    params, x0 = grid.params, potential.origin
+    sites = {s: v for s, v in potential.support.items() if v > 0.0}
+    if theorem in _BARGMANN_TAGS:
+        term = _bargmann_term(params, theorem)
+        head = 1.0 + sum(1 for v in sites.values() if v >= 1.0)
+        total = sum(term(v, rho_of_distance(hier_distance(x0, s, params.nu),
+                                            params))
+                    for s, v in sites.items() if v < 1.0)
+        report = BoundReport(theorem, params, functional=head + total)
+        report.components = {"head": head, "weighted_sum": total}
+        return report
+    if theorem not in _TAIL_FORMS:
+        raise DomainError(f"unknown theorem tag {theorem!r}")
+    killed, form = _TAIL_FORMS[theorem]
+    if form == "clr":
+        report = BoundReport(theorem, params, a=a, sigma=sigma)
+        cardinality = sum(1 for v in sites.values() if v > a)
+        report.components["cardinality"] = float(cardinality)
+        head = 1.0 + cardinality if killed else cardinality
+        sites = {s: v for s, v in sites.items() if v <= a}
+    else:
+        if gamma <= 0:
+            raise DomainError("gamma must be positive")
+        report = BoundReport(theorem, params, sigma=sigma, gamma=gamma)
+        head = 0
+        if killed:
+            if largest_eigenvalue is None:
+                largest_eigenvalue = count_and_sums(grid, potential).largest
+            head = largest_eigenvalue**gamma if largest_eigenvalue > 0 else 0.0
+            report.components["lambda_term"] = head
+    if killed:
+        sites.pop(x0, None)  # the killed walk's kernel vanishes at x0
+    power = 1.0 + gamma if form == "lt" else 1.0
+    weight = _tail_weight(params, killed,
+                          gamma if form == "lt-weighted" else 0.0, x0)
     try:
-        weighted = sum(v * green_tail_integral(params, sigma / v, 0.0)
-                       for s, v in below.items())
+        total = sum(v**power * weight(sigma / v, s) for s, v in sites.items())
     except DivergentIntegralError as exc:
         report.flags.append(f"divergent: {exc}")
         return report
-    report.components["weighted_sum"] = weighted
-    report.functional = len(above) + weighted
-    return report
-
-
-def lt_functional(grid: VolumeGrid, potential: Potential, gamma: float,
-                  sigma: float = 0.0, weighted: bool = False) -> BoundReport:
-    """Transient (plain) or time-weighted power-sum functional.
-
-    plain:    sum V**(1+gamma) I_0(sigma/V)      [needs p*nu > 1]
-    weighted: 2 gamma Gamma(gamma) sum V I_gamma(sigma/V)
-              [needs gamma + s_h/2 > 1; sigma = 0 also needs gamma < 1]
-    """
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    params = grid.params
-    tag = "lt-weighted" if weighted else "lt"
-    report = BoundReport(tag, params, sigma=sigma, gamma=gamma)
-    try:
-        if weighted:
-            total = sum(v * green_tail_integral(params, sigma / v, gamma)
-                        for s, v in potential.support.items() if v > 0)
-            total *= 2.0 * gamma * gamma_fn(gamma)
-        else:
-            total = sum(v ** (1.0 + gamma)
-                        * green_tail_integral(params, sigma / v, 0.0)
-                        for s, v in potential.support.items() if v > 0)
-    except DivergentIntegralError as exc:
-        report.flags.append(f"divergent: {exc}")
-        return report
-    report.components["weighted_sum"] = total
-    report.functional = total
-    return report
-
-
-def _p1_weight(params: LatticeParams, T: float, gamma: float, r: int) -> float:
-    if gamma == 0.0:
-        return p1_tail_integral(params, T, r)
-    return p1_weighted_tail_integral(params, T, gamma, r)
-
-
-def clr_general_functional(grid: VolumeGrid, potential: Potential,
-                           x0: Site | None = None, a: float = 1.0,
-                           sigma: float = 0.0) -> BoundReport:
-    """Counting functional with annihilation at x0; valid for any s_h > 0.
-
-    1 + #{V > a} + sum_{V<=a} V(x) int_{sigma/V}^inf p1(t,x,x) dt.
-    sigma = 0 uses the exact closed-form weights.  The x0 term drops
-    (the annihilated kernel vanishes there).
-    """
-    params = grid.params
-    x0 = potential.origin if x0 is None else x0
-    report = BoundReport("clr-general", params, a=a, sigma=sigma)
-    above, below = _split_by_level(potential, a)
-    report.components["cardinality"] = float(len(above))
-    weighted = 0.0
-    for s, v in below.items():
-        r = hier_distance(x0, s, params.nu)
-        if r == 0:
-            continue
-        weighted += v * _p1_weight(params, sigma / v, 0.0, r)
-    report.components["weighted_sum"] = weighted
-    report.functional = 1.0 + len(above) + weighted
-    return report
-
-
-def lt_general_functional(grid: VolumeGrid, potential: Potential,
-                          gamma: float, x0: Site | None = None,
-                          sigma: float = 0.0, weighted: bool = False,
-                          largest_eigenvalue: float | None = None) -> BoundReport:
-    """Power-sum functional with annihilation at x0 (any s_h > 0).
-
-    plain:    Lam**gamma + sum V**(1+gamma) J_0(sigma/V)
-    weighted: Lam**gamma + 2 gamma Gamma(gamma) sum V J_gamma(sigma/V)
-              [sigma = 0 needs gamma < 1]
-
-    ``largest_eigenvalue`` (Lam) is computed from the exact positive
-    spectrum when not supplied.
-    """
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    params = grid.params
-    x0 = potential.origin if x0 is None else x0
-    tag = "lt-general-weighted" if weighted else "lt-general"
-    report = BoundReport(tag, params, sigma=sigma, gamma=gamma)
-    if largest_eigenvalue is None:
-        largest_eigenvalue = count_and_sums(grid, potential).largest
-    lam_term = largest_eigenvalue**gamma if largest_eigenvalue > 0 else 0.0
-    report.components["lambda_term"] = lam_term
-    total = 0.0
-    try:
-        for s, v in potential.support.items():
-            if v <= 0:
-                continue
-            r = hier_distance(x0, s, params.nu)
-            if r == 0:
-                continue
-            if weighted:
-                total += v * _p1_weight(params, sigma / v, gamma, r)
-            else:
-                total += v ** (1.0 + gamma) * _p1_weight(params, sigma / v, 0.0, r)
-    except (DivergentIntegralError, DomainError) as exc:
-        report.flags.append(f"divergent: {exc}")
-        return report
-    if weighted:
+    if form == "lt-weighted":
         total *= 2.0 * gamma * gamma_fn(gamma)
     report.components["weighted_sum"] = total
-    report.functional = lam_term + total
+    report.functional = head + total
     return report
-
-
-def bargmann_functionals(grid: VolumeGrid, potential: Potential,
-                         x0: Site | None = None) -> list[BoundReport]:
-    """Distance-weighted counting functionals relative to the origin x0.
-
-    Returns the applicable subset of {classic, uniform, refined}: the
-    classic and refined forms need s_h < 2; the uniform form covers any
-    s_h, switching to its logarithmic weight exactly at s_h = 2.  In
-    the classic sum the x = x0 term carries weight rho**(2-s_h) = 0.
-    """
-    params = grid.params
-    x0 = potential.origin if x0 is None else x0
-    s_h = params.s_h
-    above = {s: v for s, v in potential.support.items() if v >= 1.0}
-    below = {s: v for s, v in potential.support.items() if 0.0 < v < 1.0}
-    head = 1.0 + len(above)
-    sqrtp_inv = 1.0 / math.sqrt(params.p)
-
-    def rho_of(site):
-        return rho_of_distance(hier_distance(x0, site, params.nu), params)
-
-    reports = []
-    if s_h < 2.0:
-        classic = sum(v * rho_of(s) ** (2.0 - s_h) for s, v in below.items())
-        rep = BoundReport("bargmann", params)
-        rep.components = {"head": head, "weighted_sum": classic}
-        rep.functional = head + classic
-        reports.append(rep)
-
-        refined = sum(v ** (2.0 - s_h / 2.0)
-                      * (1.0 + rho_of(s) ** 2) ** (2.0 - s_h)
-                      for s, v in below.items())
-        rep = BoundReport("bargmann-refined", params)
-        rep.components = {"head": head, "weighted_sum": refined}
-        rep.functional = head + refined
-        reports.append(rep)
-
-    if s_h == 2.0:
-        uni = sum(v * math.log(1.0 + rho_of(s)) / math.log(sqrtp_inv)
-                  for s, v in below.items())
-    else:
-        denom = sqrtp_inv ** (2.0 - s_h) - 1.0
-        uni = sum(v * ((1.0 + rho_of(s)) ** (2.0 - s_h) - 1.0) / denom
-                  for s, v in below.items())
-    rep = BoundReport("bargmann-uniform", params)
-    rep.components = {"head": head, "weighted_sum": uni}
-    rep.functional = head + uni
-    reports.append(rep)
-    return reports
 
 
 def evaluate_functionals(grid: VolumeGrid, potential: Potential,
@@ -271,8 +190,9 @@ def evaluate_functionals(grid: VolumeGrid, potential: Potential,
                          counting_method: str = "auto") -> list[BoundReport]:
     """All requested functionals vs the exact counts for one potential.
 
-    Counting functionals compare to N0, power-sum functionals to
-    S_gamma.
+    Counting functionals compare to N0, power-sum functionals (the ones
+    carrying a ``gamma``) to S_gamma.  The classic and refined Bargmann
+    forms are left out when s_h >= 2.
     """
     gammas = (gamma,) if gamma else ()
     exact = count_and_sums(grid, potential, gammas=gammas,
@@ -281,31 +201,11 @@ def evaluate_functionals(grid: VolumeGrid, potential: Potential,
     s_gamma = exact.sums.get(float(gamma), 0.0) if gamma else 0.0
     reports = []
     for tag in theorems:
-        if tag == "clr":
-            reports.append(clr_functional(grid, potential, a, sigma).finalize(n0))
-        elif tag == "lt":
-            reports.append(lt_functional(grid, potential, gamma, sigma,
-                                         weighted=False).finalize(s_gamma))
-        elif tag == "lt-weighted":
-            reports.append(lt_functional(grid, potential, gamma, sigma,
-                                         weighted=True).finalize(s_gamma))
-        elif tag == "clr-general":
-            reports.append(clr_general_functional(grid, potential, a=a,
-                                                  sigma=sigma).finalize(n0))
-        elif tag == "lt-general":
-            reports.append(lt_general_functional(
-                grid, potential, gamma, sigma=sigma, weighted=False,
-                largest_eigenvalue=exact.largest).finalize(s_gamma))
-        elif tag == "lt-general-weighted":
-            reports.append(lt_general_functional(
-                grid, potential, gamma, sigma=sigma, weighted=True,
-                largest_eigenvalue=exact.largest).finalize(s_gamma))
-        elif tag in ("bargmann", "bargmann-uniform", "bargmann-refined"):
-            for rep in bargmann_functionals(grid, potential):
-                if rep.theorem == tag:
-                    reports.append(rep.finalize(n0))
-        else:
-            raise DomainError(f"unknown theorem tag {tag!r}")
+        if tag in _SUBCRITICAL_TAGS and grid.params.s_h >= 2.0:
+            continue
+        rep = functional(grid, potential, tag, a=a, sigma=sigma, gamma=gamma,
+                         largest_eigenvalue=exact.largest)
+        reports.append(rep.finalize(n0 if rep.gamma is None else s_gamma))
     return reports
 
 
@@ -330,9 +230,9 @@ def bound_report(grid: VolumeGrid, potentials, theorems=THEOREM_TAGS,
                                         counting_method=counting_method):
             rows.append({
                 "theorem": rep.theorem,
-                "a": rep.a if rep.a is not None else "",
-                "sigma": rep.sigma if rep.sigma is not None else "",
-                "gamma": rep.gamma if rep.gamma is not None else "",
+                "a": rep.a,
+                "sigma": rep.sigma,
+                "gamma": rep.gamma,
                 "theta": theta,
                 "beta": beta,
                 "functional": rep.functional,

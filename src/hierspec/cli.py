@@ -221,8 +221,7 @@ def _cmd_bounds(args):
     rows = bound_report(grid, potentials, theorems=theorems, a=args.a,
                         sigma=args.sigma, gamma=args.gamma, thetas=thetas,
                         betas=[args.beta] * len(thetas))
-    table = [[row[c] if row[c] is not None else "" for c in REPORT_COLUMNS]
-             for row in rows]
+    table = [[row[c] for c in REPORT_COLUMNS] for row in rows]
     _emit(args, REPORT_COLUMNS, table,
           _meta(args, depth=args.depth, beta=args.beta, radius=args.radius,
                 a=args.a, sigma=args.sigma, gamma=args.gamma))

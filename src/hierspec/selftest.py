@@ -13,10 +13,12 @@ import scipy.linalg
 
 from . import annihilated as ann
 from . import closedform as cf
+from .bounds import functional
 from .errors import DivergentIntegralError
 from .hierops import HaarBasis, VolumeGrid, apply_laplacian, assemble_dense, \
     dirichlet_spectrum
 from .lattice import LatticeParams, hier_distance
+from .schrodinger import Potential
 
 
 def _brute_distance(x, y, nu, max_rank=64):
@@ -116,6 +118,13 @@ def run_selftest(verbose: bool = False) -> int:
             for T in (0.0, 0.5, 1.0)]
     check("p1 tail integral vs deleted spectral sum (N=8)",
           max(abs(g - gaps[0]) for g in gaps) < 1e-7)
+
+    # CLR functional at sigma = 0: its weight is R_0(x,x) = 1.5 at (4, 1/2),
+    # certified to 1e-12 per site of V <= a
+    pot = Potential({0: 2.0, 1: 0.25, 5: 0.75, 17: 1.0}, origin=0)
+    rep = functional(VolumeGrid(pa4, 3), pot, "clr", a=1.0, sigma=0.0)
+    check("CLR functional = #{V > a} + 1.5 sum_{V<=a} V at (4, 1/2)",
+          abs(rep.functional - (1.0 + 1.5 * (0.25 + 0.75 + 1.0))) < 1e-11)
 
     failures = sum(1 for _, ok in checks if not ok)
     if verbose:

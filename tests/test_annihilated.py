@@ -15,7 +15,8 @@ import scipy.linalg
 
 import hierspec.annihilated as ann
 import hierspec.closedform as cf
-from hierspec.errors import CertificationError, DomainError
+from hierspec.errors import (CertificationError, DivergentIntegralError,
+                             DomainError)
 from hierspec.hierops import VolumeGrid, assemble_dense
 from hierspec.lattice import LatticeParams, rho_of_distance
 
@@ -230,6 +231,11 @@ class TestTailIntegrals:
         assert value > 0.0
         with pytest.raises(DomainError):
             ann.p1_weighted_tail_integral(PA_2_QUARTER, 0.0, 1.4, 2)
+
+    def test_weighted_tail_divergence_error_type(self):
+        # the error type of the free walk's green_tail_integral
+        with pytest.raises(DivergentIntegralError):
+            ann.p1_weighted_tail_integral(PA_2_QUARTER, 0.0, 1.0, 2)
 
     def test_negative_t_rejected(self):
         with pytest.raises(DomainError):

@@ -180,6 +180,28 @@ class TestBoundsCommand:
         assert all(0.0 < float(row[6]) < float("inf") for row in rows)
 
 
+    @pytest.mark.parametrize("theorems", ["lt-general,lt-general-weighted",
+                                          "clr"])
+    def test_negative_sigma_exits_one(self, theorems):
+        out = run_cli(["bounds", "--nu", "2", "--p", "0.25", "--depth", "4",
+                       "--thetas", "0.8", "--radius", "2", "--sigma", "-1",
+                       "--theorems", theorems])
+        assert out.returncode == 1
+        assert "sigma must be nonnegative" in out.stderr
+
+    def test_json_missing_cells_are_null(self):
+        # the divergent clr row has no functional, fitted constant or gamma
+        out = run_cli(["bounds", "--nu", "2", "--p", "0.25", "--depth", "4",
+                       "--thetas", "0.2", "--radius", "3", "--theorems", "clr",
+                       "--format", "json"])
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout)
+        (row,) = [dict(zip(payload["columns"], r)) for r in payload["rows"]]
+        assert "divergent" in row["flags"]
+        assert row["functional"] is None
+        assert row["fitted_constant"] is None
+        assert row["gamma"] is None
+
 class TestImports:
     def test_mpmath_not_loaded(self):
         code = ("import sys, hierspec, hierspec.cli; "
