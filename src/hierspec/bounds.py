@@ -94,6 +94,17 @@ _BARGMANN_TAGS = ("bargmann", "bargmann-uniform", "bargmann-refined")
 _SUBCRITICAL_TAGS = ("bargmann", "bargmann-refined")
 
 
+def _check_request(theorems, sigma: float, gamma: float):
+    """Reject bad arguments before any eigensolve is paid for."""
+    if sigma < 0:
+        raise DomainError("sigma must be nonnegative")
+    for tag in theorems:
+        if tag not in _TAIL_FORMS and tag not in _BARGMANN_TAGS:
+            raise DomainError(f"unknown theorem tag {tag!r}")
+        if tag in _TAIL_FORMS and _TAIL_FORMS[tag][1] != "clr" and gamma <= 0:
+            raise DomainError("gamma must be positive")
+
+
 def _bargmann_term(params: LatticeParams, theorem: str):
     """(V(x), rho(x0,x)) -> summand of one Bargmann form."""
     s_h = params.s_h
@@ -135,8 +146,7 @@ def functional(grid: VolumeGrid, potential: Potential, theorem: str,
     the exact positive spectrum when a general LT form needs it and it
     is not supplied.  A divergent weight flags the report.
     """
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
+    _check_request((theorem,), sigma, gamma)
     params, x0 = grid.params, potential.origin
     sites = {s: v for s, v in potential.support.items() if v > 0.0}
     if theorem in _BARGMANN_TAGS:
@@ -148,8 +158,6 @@ def functional(grid: VolumeGrid, potential: Potential, theorem: str,
         report = BoundReport(theorem, params, functional=head + total)
         report.components = {"head": head, "weighted_sum": total}
         return report
-    if theorem not in _TAIL_FORMS:
-        raise DomainError(f"unknown theorem tag {theorem!r}")
     killed, form = _TAIL_FORMS[theorem]
     if form == "clr":
         report = BoundReport(theorem, params, a=a, sigma=sigma)
@@ -158,8 +166,6 @@ def functional(grid: VolumeGrid, potential: Potential, theorem: str,
         head = 1.0 + cardinality if killed else cardinality
         sites = {s: v for s, v in sites.items() if v <= a}
     else:
-        if gamma <= 0:
-            raise DomainError("gamma must be positive")
         report = BoundReport(theorem, params, sigma=sigma, gamma=gamma)
         head = 0
         if killed:
@@ -194,6 +200,7 @@ def evaluate_functionals(grid: VolumeGrid, potential: Potential,
     carrying a ``gamma``) to S_gamma.  The classic and refined Bargmann
     forms are left out when s_h >= 2.
     """
+    _check_request(theorems, sigma, gamma)
     gammas = (gamma,) if gamma else ()
     exact = count_and_sums(grid, potential, gammas=gammas,
                            method=counting_method)

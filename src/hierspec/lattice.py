@@ -166,6 +166,14 @@ class WalkTrajectory:
         return self.sites[-1]
 
 
+def _uniform_below(rng: np.random.Generator, nu: int, k: int) -> int:
+    """Uniform integer below nu**k, digit by digit: exact at any size."""
+    offset = 0
+    for d in rng.integers(0, nu, size=k):
+        offset = offset * nu + int(d)
+    return offset
+
+
 def _one_walk(params: LatticeParams, x0: Site, horizon: float,
               rng: np.random.Generator):
     """Run a single walk; returns (times, sites, jump_ranks)."""
@@ -179,13 +187,7 @@ def _one_walk(params: LatticeParams, x0: Site, horizon: float,
             break
         # jump rank is geometric on {1,2,...} with success prob 1-p
         k = int(rng.geometric(1.0 - p))
-        # uniform landing inside the rank-k cube around x; digits are drawn
-        # one by one so arbitrarily large cubes stay exact (no int64 cap)
-        base = (x // nu**k) * nu**k
-        offset = 0
-        for d in rng.integers(0, nu, size=k):
-            offset = offset * nu + int(d)
-        x = base + offset
+        x = (x // nu**k) * nu**k + _uniform_below(rng, nu, k)
         times.append(t)
         sites.append(x)
         ranks.append(k)
@@ -197,8 +199,8 @@ def sample_walk(params: LatticeParams, x0: Site, horizon: float,
     """Simulate the walk: Exp(1) holding times, rank law P{k=r} = a_r,
     uniform landing on the chosen cube.  Deterministic for a fixed seed.
     """
-    if horizon < 0:
-        raise DomainError("horizon must be nonnegative")
+    if x0 < 0 or horizon < 0:
+        raise DomainError("x0 and horizon must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     times, sites, ranks = _one_walk(params, x0, horizon, rng)
     return WalkTrajectory(params=params, horizon=horizon, seed=seed,
@@ -209,23 +211,34 @@ def sample_end_sites(params: LatticeParams, x0: Site, horizon: float,
                      n_samples: int, seed: int):
     """End sites and pooled jump ranks of ``n_samples`` independent walks.
 
-    Each walk gets its own child generator spawned from the seed, so the
-    result does not depend on evaluation order and batches can be
-    distributed across workers.
+    A jump of rank k redraws the k lowest base-``nu`` digits uniformly,
+    so an end site keeps the digits of ``x0`` at positions >= R and has
+    uniform digits below R, R being the largest rank among the walk's
+    Poisson(horizon) jumps (0 if none).  One generator draws, as arrays,
+    the jump counts, all ranks (walk-major) and one offset below nu**R
+    per walk (digit by digit where nu**R >= 2**62).  The output is
+    fixed by ``(seed, n_samples)``; it matches :func:`sample_walk` in
+    law, not draw for draw.
 
     Returns
     -------
     end_sites : list[int]
     jump_ranks : np.ndarray of int
     """
-    if horizon < 0:
-        raise DomainError("horizon must be nonnegative")
-    children = np.random.SeedSequence(seed).spawn(n_samples)
-    ends = []
-    all_ranks = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        _, sites, ranks = _one_walk(params, x0, horizon, rng)
-        ends.append(sites[-1])
-        all_ranks.extend(ranks)
-    return ends, np.asarray(all_ranks, dtype=np.int64)
+    if x0 < 0 or horizon < 0 or n_samples < 0:
+        raise DomainError("x0, horizon and n_samples must be nonnegative")
+    nu = params.nu
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = rng.poisson(horizon, n_samples)
+    ranks = rng.geometric(1.0 - params.p, counts.sum())
+    r_max = np.zeros(n_samples, dtype=np.int64)
+    np.maximum.at(r_max, np.repeat(np.arange(n_samples), counts), ranks)
+    small = r_max * math.log2(nu) < 62
+    offsets = np.zeros(n_samples, dtype=object)
+    offsets[small] = rng.integers(0, nu ** r_max[small])
+    for i in np.flatnonzero(~small):
+        offsets[i] = _uniform_below(rng, nu, int(r_max[i]))
+    scale = np.array([nu**r for r in range(r_max.max(initial=0) + 1)],
+                     dtype=object)[r_max]
+    ends = (int(x0) // scale) * scale + offsets
+    return ends.tolist(), ranks

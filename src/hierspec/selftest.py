@@ -17,7 +17,7 @@ from .bounds import functional
 from .errors import DivergentIntegralError
 from .hierops import HaarBasis, VolumeGrid, apply_laplacian, assemble_dense, \
     dirichlet_spectrum
-from .lattice import LatticeParams, hier_distance
+from .lattice import LatticeParams, hier_distance, sample_end_sites
 from .schrodinger import Potential
 
 
@@ -26,6 +26,13 @@ def _brute_distance(x, y, nu, max_rank=64):
         if x // nu**r == y // nu**r:
             return r
     raise AssertionError("no common cube found")
+
+
+def _within_standard_errors(counts, probs, sigmas=5.0):
+    """Every bin expecting at least 25 hits lies within ``sigmas`` SE."""
+    mean = counts.sum() * probs
+    se = np.sqrt(mean * (1.0 - probs))
+    return bool(np.all((np.abs(counts - mean) <= sigmas * se)[mean >= 25.0]))
 
 
 def run_selftest(verbose: bool = False) -> int:
@@ -78,6 +85,19 @@ def run_selftest(verbose: bool = False) -> int:
     check("heat kernel = matrix exponential (N=6)", ok)
     check("heat kernel normalization at t=0",
           abs(cf.heat_kernel(pa, 0.0, 0) - 1.0) < 1e-13)
+
+    # walk sampler vs the heat kernel's shell law and the rank law a_r;
+    # the seed is fixed, so the check is deterministic
+    ends, ranks = sample_end_sites(pa, 0, 5.0, 20_000, seed=1905)
+    shells = np.bincount([e.bit_length() for e in ends])  # = d(0, e) at nu=2
+    shell_law = np.array([cf.heat_kernel(pa, 5.0, r) * max(1, 2 ** (r - 1))
+                          for r in range(len(shells))])
+    rank_counts = np.bincount(ranks)
+    rank_law = np.append(0.0, pa.jump_weights(len(rank_counts) - 1))
+    check("walk end-site shells within 5 SE of the heat kernel (2, 1/2)",
+          _within_standard_errors(shells, shell_law))
+    check("walk jump ranks within 5 SE of a_r (2, 1/2)",
+          _within_standard_errors(rank_counts, rank_law))
 
     # resolvent functional equation and transient Green values
     lam = 0.37

@@ -165,6 +165,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             functional(VolumeGrid(PA_2_QUARTER, 4), EMPTY, "clr-special")
 
+    @pytest.mark.parametrize("theorems,sigma,gamma", [
+        (("clr-general",), -1.0, 1.0), (("clr", "clr-special"), 0.0, 1.0),
+        (("lt",), 0.0, 0.0)])
+    def test_rejected_before_the_eigensolve(self, monkeypatch, theorems,
+                                            sigma, gamma):
+        def count_and_sums(*args, **kwargs):
+            raise AssertionError("eigensolve run before validation")
+        monkeypatch.setattr("hierspec.bounds.count_and_sums", count_and_sums)
+        with pytest.raises(DomainError):
+            evaluate_functionals(VolumeGrid(PA_2_QUARTER, 4),
+                                 delta_potential(1, 0.5), theorems=theorems,
+                                 sigma=sigma, gamma=gamma)
+
 
 class TestBargmann:
     def test_zero_potential(self):

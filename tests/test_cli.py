@@ -109,6 +109,12 @@ class TestExitCodes:
         assert run_cli(["heat", "--nu", "1", "--p", "0.5", "--t", "1"]).returncode == 1
         assert run_cli(["heat", "--nu", "2", "--p", "1.5", "--t", "1"]).returncode == 1
 
+    def test_negative_walk_start_rejected(self):
+        out = run_cli(["walk", "--nu", "2", "--p", "0.5", "--horizon", "2",
+                       "--x0", "-3"])
+        assert out.returncode == 1
+        assert "nonnegative" in out.stderr
+
     def test_tolerance_override_clamped(self):
         ok = run_cli(["heat", "--nu", "2", "--p", "0.5", "--t", "1",
                       "--tol", "1e-12"])

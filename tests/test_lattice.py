@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import hierspec.closedform as cf
 from hierspec.errors import DomainError
 from hierspec.lattice import (CubeRef, LatticeParams, cube_of, cube_sites,
                               hier_distance, rho, rho_of_distance,
@@ -205,3 +206,81 @@ class TestWalk:
     def test_negative_horizon_rejected(self):
         with pytest.raises(DomainError):
             sample_walk(LatticeParams(2, 0.5), 0, -1.0, seed=0)
+
+    @pytest.mark.parametrize("x0", [-3, -1])
+    def test_negative_start_rejected(self, x0):
+        pa = LatticeParams(2, 0.5)
+        with pytest.raises(DomainError):
+            sample_walk(pa, x0, 1.0, seed=0)
+        with pytest.raises(DomainError):
+            sample_end_sites(pa, x0, 1.0, 2, seed=0)
+
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(DomainError):
+            sample_end_sites(LatticeParams(2, 0.5), 0, 1.0, -1, seed=0)
+
+
+class TestEndSites:
+    """The one-pass end-site sampler vs independent laws and paths."""
+
+    def test_matches_per_jump_walks(self):
+        # two-sample chi-square on distance shells against the per-jump
+        # loop of sample_walk, one seed per walk
+        pa, horizon, x0, n_loop = LatticeParams(2, 0.5), 3.0, 0, 3000
+        loop_ends = [sample_walk(pa, x0, horizon, seed=s).end_site
+                     for s in range(n_loop)]
+        fast_ends, _ = sample_end_sites(pa, x0, horizon, 3 * n_loop, seed=77)
+        r_cap = 12
+        table = np.array([
+            np.bincount(np.minimum([hier_distance(x0, e, 2) for e in ends],
+                                   r_cap), minlength=r_cap + 1)
+            for ends in (loop_ends, fast_ends)], dtype=float)
+        # merge shells whose smaller expected count is below 10
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+        keep = expected.min(axis=0) >= 10.0
+        merged = np.column_stack([table[:, keep],
+                                  table[:, ~keep].sum(axis=1)])
+        _, pvalue, _, _ = scipy.stats.chi2_contingency(merged)
+        assert pvalue > 0.01, pvalue
+
+    def test_shell_law_matches_heat_kernel(self):
+        pa, horizon, x0, n = LatticeParams(4, 0.5), 3.0, 12345, 20000
+        ends, _ = sample_end_sites(pa, x0, horizon, n, seed=4)
+        r_cap = 16
+        dists = [hier_distance(x0, e, 4) for e in ends]
+        observed = np.bincount(np.minimum(dists, r_cap + 1),
+                               minlength=r_cap + 2)
+        # P{d(x0, X_t) = r}: the kernel at distance r times the shell size
+        law = np.array([cf.heat_kernel(pa, horizon, r)
+                        * (1 if r == 0 else 3 * 4 ** (r - 1))
+                        for r in range(r_cap + 1)])
+        expected = np.append(law, 1.0 - law.sum()) * n
+        # merge bins with expected counts below 10 into one
+        keep = expected >= 10.0
+        obs = np.append(observed[keep], observed[~keep].sum())
+        exp = np.append(expected[keep], expected[~keep].sum())
+        _, pvalue = scipy.stats.chisquare(obs, exp * obs.sum() / exp.sum())
+        assert pvalue > 0.01, pvalue
+
+    def test_zero_horizon(self):
+        ends, ranks = sample_end_sites(LatticeParams(3, 0.4), 17, 0.0, 50,
+                                       seed=2)
+        assert ends == [17] * 50
+        assert ranks.size == 0
+
+    def test_determined_by_seed(self):
+        pa = LatticeParams(3, 0.6)
+        ends1, ranks1 = sample_end_sites(pa, 5, 4.0, 200, seed=9)
+        ends2, ranks2 = sample_end_sites(pa, 5, 4.0, 200, seed=9)
+        assert ends1 == ends2 and np.array_equal(ranks1, ranks2)
+        ends3, _ = sample_end_sites(pa, 5, 4.0, 200, seed=10)
+        assert ends3 != ends1
+
+    def test_big_int_sites_stay_exact(self):
+        # at p = 0.97 about a third of the walks draw a rank above 62
+        x0 = 12345
+        ends, ranks = sample_end_sites(LatticeParams(2, 0.97), x0, 3.0, 200,
+                                       seed=3)
+        assert all(type(e) is int for e in ends)
+        assert any(e > 2**63 for e in ends)
+        assert max(hier_distance(x0, e, 2) for e in ends) <= ranks.max()
