@@ -140,27 +140,34 @@ def _apply_naive(cols: np.ndarray, grid: VolumeGrid) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=2)
-def _distance_matrix_cached(nu: int, depth: int) -> np.ndarray:
-    n = nu**depth
-    d = np.zeros((n, n), dtype=np.int16)
-    q = np.arange(n)
+def _pairwise_distances(q: np.ndarray, nu: int, depth: int) -> np.ndarray:
+    d = np.zeros((len(q), len(q)), dtype=np.int16)
     for _ in range(depth):
         d += q[:, None] != q[None, :]
-        q //= nu
+        q = q // nu
+    return d
+
+
+@lru_cache(maxsize=2)
+def _distance_matrix_cached(nu: int, depth: int) -> np.ndarray:
+    d = _pairwise_distances(np.arange(nu**depth), nu, depth)
     d.setflags(write=False)
     return d
 
 
-def hier_distance_matrix(grid: VolumeGrid) -> np.ndarray:
-    """Pairwise hierarchical distances of all sites in the volume.
+def hier_distance_matrix(grid: VolumeGrid, sites=None) -> np.ndarray:
+    """Pairwise hierarchical distances of ``sites`` (default: all sites
+    of the volume, in order).
 
     d(x,y) counts the ranks r in 0..N-1 at which the base-nu quotients
     of x and y still differ (they agree from some rank on, and once
-    equal stay equal).  Cached per (nu, depth): parameter sweeps over p
-    reuse it.
+    equal stay equal).  The all-sites matrix is cached per (nu, depth):
+    parameter sweeps over p reuse it.
     """
-    return _distance_matrix_cached(grid.params.nu, grid.depth)
+    if sites is None:
+        return _distance_matrix_cached(grid.params.nu, grid.depth)
+    return _pairwise_distances(np.asarray(sites, dtype=np.int64),
+                               grid.params.nu, grid.depth)
 
 
 def assemble_dense(grid: VolumeGrid, potential=None,
@@ -305,6 +312,21 @@ class HaarBasis:
             return self.inverse(coeffs / denom)
         return self.inverse(coeffs / denom[:, None])
 
+    def green_by_distance(self, shift: float) -> np.ndarray:
+        """Green function (shift - L)^(-1)(x, y) as a table over the
+        distance d = d(x, y) = 0..N.
+
+        L's entries depend only on d(x,y) and the volume's automorphisms
+        act transitively on its sites, so one solve against delta_0, read
+        at the sites 0, 1, nu, ..., nu**(N-1) (distance 0..N from the
+        origin), gives every entry.
+        """
+        nu, N = self.grid.params.nu, self.grid.depth
+        delta0 = np.zeros(self.grid.n_sites)
+        delta0[0] = 1.0
+        column = self.solve_shifted(delta0, shift)
+        return column[np.r_[0, nu ** np.arange(N)]]
+
 
 # ---------------------------------------------------------------------------
 # spectra
@@ -367,13 +389,12 @@ def group_eigenvalues(values, provenance: str,
     return SpectrumSummary(entries=tuple(entries), provenance=provenance)
 
 
-def dense_spectrum(grid: VolumeGrid, potential=None,
-                   cap: int = DENSE_CAP_DEFAULT,
-                   group_tol: float = 1e-8) -> SpectrumSummary:
-    """Spectrum of -(L + V) by dense symmetric eigendecomposition."""
-    m = assemble_dense(grid, potential, cap=cap)
+def dense_spectrum(grid: VolumeGrid, potential=None) -> SpectrumSummary:
+    """Spectrum of -(L + V) by dense symmetric eigendecomposition
+    (volume within the dense cap; eigenvalues within 1e-8 grouped)."""
+    m = assemble_dense(grid, potential)
     vals = scipy.linalg.eigvalsh(-m, overwrite_a=True)
-    return group_eigenvalues(vals, "dense", tol=group_tol)
+    return group_eigenvalues(vals, "dense")
 
 
 def haar_spectrum(grid: VolumeGrid) -> SpectrumSummary:
@@ -404,22 +425,21 @@ def _lanczos_step(matvec, basis: np.ndarray, j: int, alphas: list,
     return b
 
 
-def lanczos_extreme(matvec, n: int, k: int, *, which: str = "LA",
-                    max_iter: Optional[int] = None, tol: float = 1e-10,
-                    seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (or bottom-k) eigenpairs of a symmetric operator.
+def lanczos_extreme(matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenpairs of a symmetric operator.
 
-    Plain Lanczos with full reorthogonalization; adequate at the sizes
-    used here (<= 2**22) because the hierarchical spectra are well
-    separated.  Returns (eigenvalues descending for "LA", ritz vectors).
+    Plain Lanczos with full reorthogonalization from a fixed random
+    start (seed 7); adequate at the sizes used here (<= 2**22) because
+    the hierarchical spectra are well separated.  Returns (eigenvalues
+    descending, ritz vectors).
 
-    Raises :class:`CertificationError` if residuals do not reach ``tol``
-    within ``max_iter`` steps.
+    Raises :class:`CertificationError` if the residuals do not reach
+    1e-10 within min(n, max(6k + 40, 80)) steps.
     """
     if k < 1:
         raise DomainError("need k >= 1 eigenpairs")
-    max_iter = max_iter or min(n, max(6 * k + 40, 80))
-    rng = np.random.default_rng(seed)
+    max_iter = min(n, max(6 * k + 40, 80))
+    rng = np.random.default_rng(7)
     basis = np.empty((max_iter, n))
     basis[0] = rng.standard_normal(n)
     basis[0] /= np.linalg.norm(basis[0])
@@ -428,9 +448,9 @@ def lanczos_extreme(matvec, n: int, k: int, *, which: str = "LA",
         b = _lanczos_step(matvec, basis, j, alphas, betas)
         if j + 1 >= k:
             theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas)
-            order = np.argsort(theta)[::-1] if which == "LA" else np.argsort(theta)
+            order = np.argsort(theta)[::-1]
             resid = abs(b * s[-1, order[:k]])
-            if np.all(resid <= tol) or b < 1e-14:
+            if np.all(resid <= 1e-10) or b < 1e-14:
                 return theta[order[:k]], basis[:j + 1].T @ s[:, order[:k]]
         if b < 1e-14:
             break

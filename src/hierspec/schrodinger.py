@@ -7,20 +7,23 @@ positivity threshold (default 1e-12): the Dirichlet volume has no
 exact zero modes, so any eigenvalue above the threshold is a genuine
 bound state at working precision.
 
-Two solver paths:
+The volume Green function G_tau = (tau - L)^(-1) depends only on the
+distance of its two sites; :meth:`HaarBasis.green_by_distance` gives
+the table G_tau(d), d = 0..N, from one solve.  The Birman-Schwinger
+count, the rank-one threshold 1/G_0(0) and the secular equation
+c G_lam(0) = 1 all read it.  Two solver paths:
 
 * dense (volume within the cap): full symmetric eigendecomposition;
 * iterative (large volumes): the count above the threshold is first
   obtained *exactly* from the Birman-Schwinger reduction -- for V >= 0
   and tau above sup Sp(L), the number of eigenvalues of L + V above
-  tau equals the number of eigenvalues > 1 of the small matrix
-  K_tau = V^(1/2) (tau - L)^(-1) V^(1/2) on the support of V (the
-  inertia of H - tau transported to the support) -- and Lanczos with
-  full reorthogonalization then computes exactly that many eigenpairs.
+  tau equals the number of eigenvalues > 1 of the s x s matrix
+  K_tau = V^(1/2) G_tau V^(1/2) on the s support sites of V -- and
+  Lanczos with full reorthogonalization then computes exactly that
+  many eigenpairs.
 """
 
 import json
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -28,8 +31,8 @@ import scipy.linalg
 
 from .errors import DomainError
 from .hierops import (DENSE_CAP_DEFAULT, HaarBasis, VolumeGrid,
-                      apply_laplacian, assemble_dense, lanczos_extreme,
-                      potential_diagonal)
+                      apply_laplacian, assemble_dense, hier_distance_matrix,
+                      lanczos_extreme, potential_diagonal)
 from .lattice import LatticeParams, Site, cube_of, cube_sites, hier_distance, \
     rho_of_distance
 
@@ -144,10 +147,10 @@ def count_above_threshold(grid: VolumeGrid, potential: Potential,
                           tau: float = POSITIVITY_THRESHOLD) -> int:
     """Exact number of eigenvalues of L + V above tau (tau > sup Sp(L)).
 
-    Birman-Schwinger reduction: eigenvalue counting of the full
-    operator transported to the support of V, where it becomes the
-    number of eigenvalues > 1 of V^(1/2) (tau - L)^(-1) V^(1/2).
-    Costs one fast volume solve per support site.
+    Birman-Schwinger reduction: the count becomes the number of
+    eigenvalues > 1 of K_tau = V^(1/2) G_tau V^(1/2) on the s support
+    sites, G_tau gathered from the distance-indexed Green table.  Costs
+    one fast volume solve and an s x s eigenvalue problem.
     """
     _support_inside(grid, potential)
     if tau <= -grid.bottom_eigenvalue():
@@ -155,11 +158,8 @@ def count_above_threshold(grid: VolumeGrid, potential: Potential,
     sites = sorted(s for s, v in potential.support.items() if v > 0)
     if not sites:
         return 0
-    basis = HaarBasis(grid)
-    rhs = np.zeros((grid.n_sites, len(sites)))
-    for j, s in enumerate(sites):
-        rhs[s, j] = 1.0
-    green = basis.solve_shifted(rhs, tau)[sites, :]
+    green = HaarBasis(grid).green_by_distance(tau)[
+        hier_distance_matrix(grid, sites)]
     sqrt_v = np.sqrt([potential.support[s] for s in sites])
     bs_matrix = sqrt_v[:, None] * green * sqrt_v[None, :]
     mu = scipy.linalg.eigvalsh(bs_matrix)
@@ -168,19 +168,19 @@ def count_above_threshold(grid: VolumeGrid, potential: Potential,
 
 def positive_spectrum(grid: VolumeGrid, potential: Potential,
                       threshold: float = POSITIVITY_THRESHOLD,
-                      method: str = "auto",
-                      cap: int = DENSE_CAP_DEFAULT) -> EigenReport:
+                      method: str = "auto") -> EigenReport:
     """Eigenvalues of L + V above ``threshold``, with multiplicity.
 
-    ``method``: "dense" | "iterative" | "auto" (dense within the cap).
+    ``method``: "dense" | "iterative" | "auto" (dense up to
+    ``DENSE_CAP_DEFAULT`` sites).
     The iterative path certifies completeness against the exact
     Birman-Schwinger count before returning.
     """
     _support_inside(grid, potential)
     if method == "auto":
-        method = "dense" if grid.n_sites <= cap else "iterative"
+        method = "dense" if grid.n_sites <= DENSE_CAP_DEFAULT else "iterative"
     if method == "dense":
-        m = assemble_dense(grid, potential, cap=cap)
+        m = assemble_dense(grid, potential)
         vals = scipy.linalg.eigvalsh(m)[::-1]
         pos = vals[vals > threshold]
         return EigenReport(eigenvalues=np.asarray(pos), threshold=threshold,
@@ -196,7 +196,7 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
     def matvec(v):
         return apply_laplacian(v, grid, mode="fast") + diag * v
 
-    vals, vecs = lanczos_extreme(matvec, grid.n_sites, n_expected, which="LA")
+    vals, vecs = lanczos_extreme(matvec, grid.n_sites, n_expected)
     resid = np.array([np.linalg.norm(matvec(vecs[:, i]) - vals[i] * vecs[:, i])
                       for i in range(n_expected)])
     pos = vals[vals > threshold]
@@ -233,34 +233,32 @@ def secular_coupling_threshold(params: LatticeParams) -> float:
 
 
 def volume_coupling_threshold(grid: VolumeGrid) -> float:
-    """Finite-volume critical coupling 1 / G_0(x0, x0) for V = c * delta.
+    """Finite-volume critical coupling 1 / G_0(0) for V = c * delta_x.
 
-    Computed exactly through the hierarchical eigenbasis; converges to
-    :func:`secular_coupling_threshold` as the depth grows (transient
-    case) or to 0 (recurrent case).
+    G_0(0) is the diagonal of the volume Green function at zero, the
+    same at every site x; exact through the hierarchical eigenbasis.
+    Converges to :func:`secular_coupling_threshold` as the depth grows
+    (transient case) or to 0 (recurrent case).
     """
-    basis = HaarBasis(grid)
-    d0 = np.zeros(grid.n_sites)
-    d0[0] = 1.0
-    return 1.0 / float(basis.solve_shifted(d0, 0.0)[0])
+    return 1.0 / float(HaarBasis(grid).green_by_distance(0.0)[0])
 
 
 def secular_eigenvalue(grid: VolumeGrid, site: Site, coupling: float) -> float:
     """Positive eigenvalue of L + c*delta_site from the secular equation
-    c G_lam(site, site) = 1 on the finite volume (exact, by root finding).
+    c G_lam(0) = 1 on the finite volume (exact, by root finding).
+
+    The diagonal G_lam(0) of the volume Green function does not depend
+    on the site, so ``site`` is only checked to lie in the volume.
     """
     from scipy.optimize import brentq
-    if coupling <= volume_coupling_threshold(grid):
-        raise DomainError("coupling below the finite-volume threshold")
+    if not 0 <= site < grid.n_sites:
+        raise DomainError(f"site {site} outside the volume")
     basis = HaarBasis(grid)
-    d = np.zeros(grid.n_sites)
-    d[site] = 1.0
-    coeffs2 = basis.forward(d) ** 2
 
-    def g_diag(lam):
-        return float(np.sum(coeffs2 / (lam - basis.eigenvalues)))
+    def green(lam):
+        return float(basis.green_by_distance(lam)[0])
 
-    lo = 1e-300
-    hi = coupling + 1.0
-    return brentq(lambda lam: coupling * g_diag(lam) - 1.0, lo, hi,
-                  xtol=1e-15, rtol=8.881784197001252e-16)
+    if coupling <= 1.0 / green(0.0):
+        raise DomainError("coupling below the finite-volume threshold")
+    return brentq(lambda lam: coupling * green(lam) - 1.0, 1e-300,
+                  coupling + 1.0, xtol=1e-15, rtol=8.881784197001252e-16)

@@ -18,7 +18,8 @@ from .errors import DivergentIntegralError
 from .hierops import HaarBasis, VolumeGrid, apply_laplacian, assemble_dense, \
     dirichlet_spectrum
 from .lattice import LatticeParams, hier_distance, sample_end_sites
-from .schrodinger import Potential
+from .schrodinger import POSITIVITY_THRESHOLD, Potential, \
+    count_above_threshold
 
 
 def _brute_distance(x, y, nu, max_rank=64):
@@ -145,6 +146,24 @@ def run_selftest(verbose: bool = False) -> int:
     rep = functional(VolumeGrid(pa4, 3), pot, "clr", a=1.0, sigma=0.0)
     check("CLR functional = #{V > a} + 1.5 sum_{V<=a} V at (4, 1/2)",
           abs(rep.functional - (1.0 + 1.5 * (0.25 + 0.75 + 1.0))) < 1e-11)
+
+    # distance-indexed Green table vs a dense solve, and the
+    # Birman-Schwinger count on it vs the dense count above the
+    # positivity threshold; the 5 sites share a rank-3 cube, so the
+    # off-diagonal entries of the table decide the count
+    table = HaarBasis(g8).green_by_distance(0.3)
+    dense_green = np.linalg.solve(0.3 * np.eye(g8.n_sites)
+                                  - assemble_dense(g8), np.eye(g8.n_sites)[0])
+    check("Green table by distance = dense solve (2, 1/2, N=8)",
+          np.max(np.abs(table - dense_green[np.r_[0, 2 ** np.arange(8)]]))
+          < 1e-12)
+    sites = 8 * int(rng.integers(32)) + rng.choice(8, size=5, replace=False)
+    pot = Potential(dict(zip((int(s) for s in sites),
+                             rng.uniform(0.0, 1.0, size=5))))
+    dense_count = int(np.sum(scipy.linalg.eigvalsh(assemble_dense(g8, pot))
+                             > POSITIVITY_THRESHOLD))
+    check("Birman-Schwinger count = dense count (2, 1/2, N=8)",
+          count_above_threshold(g8, pot) == dense_count)
 
     failures = sum(1 for _, ok in checks if not ok)
     if verbose:

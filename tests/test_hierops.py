@@ -5,6 +5,8 @@ spectrum is cross-checked against dense eigendecomposition and the
 hierarchical eigenbasis.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,8 +15,8 @@ from hierspec.errors import DomainError
 from hierspec.hierops import (HaarBasis, SpectrumSummary, VolumeGrid,
                               apply_laplacian, assemble_dense, dense_spectrum,
                               dirichlet_spectrum, expm_action, haar_spectrum,
-                              lanczos_extreme)
-from hierspec.lattice import LatticeParams, cube_of, cube_sites
+                              hier_distance_matrix, lanczos_extreme)
+from hierspec.lattice import LatticeParams, cube_of, cube_sites, hier_distance
 
 
 def grid_of(nu, p, depth):
@@ -102,6 +104,14 @@ class TestDense:
         assert diff[2, 2] == 1.5
         assert np.count_nonzero(diff) == 1
 
+    def test_distances_of_a_site_list(self):
+        g = grid_of(3, 0.5, 4)
+        sites = [80, 0, 5, 27, 26]
+        d = hier_distance_matrix(g, sites)
+        assert d.tolist() == [[hier_distance(x, y, 3) for y in sites]
+                              for x in sites]
+        assert np.array_equal(d, hier_distance_matrix(g)[np.ix_(sites, sites)])
+
     def test_cap_enforced(self):
         with pytest.raises(DomainError):
             assemble_dense(grid_of(2, 0.5, 13))
@@ -178,6 +188,36 @@ class TestHaar:
         b = rng.standard_normal(g.n_sites)
         u = basis.solve_shifted(b, 0.7)
         assert 0.7 * u - m @ u == pytest.approx(b, abs=1e-11)
+
+    @pytest.mark.parametrize("nu,p,depth", [(2, 0.5, 8), (3, 0.3, 5),
+                                            (4, 0.5, 5), (2, 0.25, 10)])
+    @pytest.mark.parametrize("tau", [0.0, 1e-12, 0.3, 2.0])
+    def test_green_by_distance_closed_form(self, nu, p, depth, tau):
+        # rank-k detail vectors put weight 1[d<=k-1] nu**(1-k) - 1[d<=k]
+        # nu**-k on a site pair at distance d; the constant vector nu**-N
+        g = grid_of(nu, p, depth)
+        w = float(nu) ** -np.arange(depth + 1)  # w[k] = nu**-k
+        closed = [math.fsum([((d <= k - 1) * w[k - 1] - (d <= k) * w[k])
+                             / (tau + p ** (k - 1))
+                             for k in range(1, depth + 1)]
+                            + [w[depth] / (tau + g.bottom_eigenvalue())])
+                  for d in range(depth + 1)]
+        table = HaarBasis(g).green_by_distance(tau)
+        assert table.shape == (depth + 1,)
+        assert np.max(np.abs(table - closed)) <= 1e-13 * closed[0]
+
+    @pytest.mark.parametrize("nu,p,depth", [(2, 0.5, 8), (3, 0.3, 5)])
+    def test_green_by_distance_away_from_origin(self, nu, p, depth):
+        g = grid_of(nu, p, depth)
+        basis = HaarBasis(g)
+        table = basis.green_by_distance(0.3)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            x, y = (int(s) for s in rng.integers(1, g.n_sites, size=2))
+            delta = np.zeros(g.n_sites)
+            delta[x] = 1.0
+            assert basis.solve_shifted(delta, 0.3)[y] == pytest.approx(
+                table[hier_distance(x, y, nu)], abs=1e-13 * table[0])
 
 
 class TestSpectra:

@@ -1,6 +1,7 @@
 """Perturbed operator: counting, power sums, secular equation, JSON IO."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,11 @@ class TestPositiveSpectrum:
             1.0, abs=1e-6)
         assert secular_eigenvalue(g, site, c) == pytest.approx(lam, abs=1e-12)
 
+    @pytest.mark.parametrize("site", [-1, 2**8])
+    def test_secular_site_outside_volume_rejected(self, site):
+        with pytest.raises(DomainError):
+            secular_eigenvalue(VolumeGrid(PA_2_HALF, 8), site, 5.0)
+
     def test_sum_matches_secular_root(self):
         g = VolumeGrid(PA_2_HALF, 8)
         report = count_and_sums(g, delta_potential(0, 5.0), gammas=(1.0,))
@@ -148,3 +154,18 @@ class TestCertifiedCounting:
                                                       abs=1e-8)
         assert iterative.residual_norms.max() < 1e-9
         assert iterative.method == "iterative"
+
+    def test_count_memory_is_support_sized(self):
+        # a volume solve holds a few fields of n entries; a volume x
+        # support array (n x 64 here) would exceed the bound 32 n doubles
+        g = VolumeGrid(PA_2_QUARTER, 16)
+        v = powerlaw_potential(PA_2_QUARTER, 0, 3.0, 3.0, 6)
+        assert len(v.support) == 64
+        expected = count_above_threshold(g, v)
+        tracemalloc.start()
+        try:
+            assert count_above_threshold(g, v) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * g.n_sites * 8
