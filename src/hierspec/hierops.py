@@ -27,7 +27,6 @@ is the exact value of sum_{r>N} a_r / nu**r.  Consequences used below:
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -148,24 +147,13 @@ def _pairwise_distances(q: np.ndarray, nu: int, depth: int) -> np.ndarray:
     return d
 
 
-@lru_cache(maxsize=2)
-def _distance_matrix_cached(nu: int, depth: int) -> np.ndarray:
-    d = _pairwise_distances(np.arange(nu**depth), nu, depth)
-    d.setflags(write=False)
-    return d
-
-
-def hier_distance_matrix(grid: VolumeGrid, sites=None) -> np.ndarray:
-    """Pairwise hierarchical distances of ``sites`` (default: all sites
-    of the volume, in order).
+def hier_distance_matrix(grid: VolumeGrid, sites) -> np.ndarray:
+    """Pairwise hierarchical distances of ``sites``, as an int16 matrix.
 
     d(x,y) counts the ranks r in 0..N-1 at which the base-nu quotients
     of x and y still differ (they agree from some rank on, and once
-    equal stay equal).  The all-sites matrix is cached per (nu, depth):
-    parameter sweeps over p reuse it.
+    equal stay equal).
     """
-    if sites is None:
-        return _distance_matrix_cached(grid.params.nu, grid.depth)
     return _pairwise_distances(np.asarray(sites, dtype=np.int64),
                                grid.params.nu, grid.depth)
 
@@ -182,13 +170,20 @@ def assemble_dense(grid: VolumeGrid, potential=None,
     and M[x,x] = (1-p)/(nu-p) - 1 + V(x).  ``potential`` may be ``None``,
     a dict {site: value}, a :class:`~hierspec.schrodinger.Potential`, or
     a full diagonal array.
+
+    d(x,y) <= r on the diagonal blocks of the rank-r cubes, so M is filled
+    block by block for r = N..1: one n x n array, n**2 * 8 bytes.
     """
     grid.require_dense(cap)
-    nu, p = grid.params.nu, grid.params.p
-    r = np.arange(grid.depth + 1, dtype=float)
+    nu, p, N, n = grid.params.nu, grid.params.p, grid.depth, grid.n_sites
+    r = np.arange(N + 1, dtype=float)
     with np.errstate(over="ignore"):
         table = (1.0 - p) * p ** (r - 1.0) / (np.float64(nu) ** (r - 1.0) * (nu - p))
-    m = table[hier_distance_matrix(grid)]
+    m = np.empty((n, n))
+    for rank in range(N, 0, -1):
+        block = nu**rank
+        for start in range(0, n, block):
+            m[start:start + block, start:start + block] = table[rank]
     np.fill_diagonal(m, (1.0 - p) / (nu - p) - 1.0)
     diag = potential_diagonal(grid, potential)
     if diag is not None:
@@ -391,9 +386,13 @@ def group_eigenvalues(values, provenance: str,
 
 def dense_spectrum(grid: VolumeGrid, potential=None) -> SpectrumSummary:
     """Spectrum of -(L + V) by dense symmetric eigendecomposition
-    (volume within the dense cap; eigenvalues within 1e-8 grouped)."""
+    (volume within the dense cap; eigenvalues within 1e-8 grouped).
+    The one n x n array, n**2 * 8 bytes, is negated in place and
+    overwritten by LAPACK."""
     m = assemble_dense(grid, potential)
-    vals = scipy.linalg.eigvalsh(-m, overwrite_a=True)
+    np.negative(m, out=m)
+    # m is exactly symmetric, so m.T is m in Fortran order: no f2py copy
+    vals = scipy.linalg.eigvalsh(m.T, overwrite_a=True)
     return group_eigenvalues(vals, "dense")
 
 

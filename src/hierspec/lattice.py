@@ -135,10 +135,6 @@ def cube_sites(cube: CubeRef, nu: int) -> Iterator[Site]:
     return iter(range(base, base + nu**cube.rank))
 
 
-def cube_size(cube: CubeRef, nu: int) -> int:
-    return nu**cube.rank
-
-
 #: Identity of the pseudo-random generator used by the walk sampler;
 #: recorded in sampler output so runs are attributable and repeatable.
 RNG_ALGORITHM = "numpy.random.PCG64"

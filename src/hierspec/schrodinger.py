@@ -181,7 +181,8 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
         method = "dense" if grid.n_sites <= DENSE_CAP_DEFAULT else "iterative"
     if method == "dense":
         m = assemble_dense(grid, potential)
-        vals = scipy.linalg.eigvalsh(m)[::-1]
+        # m.T is m in Fortran order, so LAPACK overwrites it with no copy
+        vals = scipy.linalg.eigvalsh(m.T, overwrite_a=True)[::-1]
         pos = vals[vals > threshold]
         return EigenReport(eigenvalues=np.asarray(pos), threshold=threshold,
                            method="dense", depth=grid.depth)

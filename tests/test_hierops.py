@@ -6,6 +6,7 @@ hierarchical eigenbasis.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,13 +105,46 @@ class TestDense:
         assert diff[2, 2] == 1.5
         assert np.count_nonzero(diff) == 1
 
+    @pytest.mark.parametrize("nu,p,depth", [(2, 0.5, 6), (3, 0.3, 4),
+                                            (4, 0.5, 3), (2, 0.97, 5)])
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_block_fill_equals_distance_gather(self, nu, p, depth,
+                                               with_potential):
+        # the entry table gathered by the pairwise distance matrix
+        g = grid_of(nu, p, depth)
+        n = g.n_sites
+        r = np.arange(depth + 1, dtype=float)
+        table = (1.0 - p) * p ** (r - 1.0) / (float(nu) ** (r - 1.0) * (nu - p))
+        expected = table[hier_distance_matrix(g, range(n))]
+        np.fill_diagonal(expected, (1.0 - p) / (nu - p) - 1.0)
+        potential = None
+        if with_potential:
+            potential = np.random.default_rng(nu + depth).uniform(0.0, 2.0, n)
+            expected[np.diag_indices(n)] += potential
+        m = assemble_dense(g, potential)
+        assert m.shape == expected.shape
+        assert m.tobytes() == expected.tobytes()
+        assert np.array_equal(m, m.T)
+
+    def test_dense_spectrum_holds_one_matrix(self):
+        g = grid_of(2, 0.5, 10)
+        tracemalloc.start()
+        try:
+            summary = dense_spectrum(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.total_multiplicity == g.n_sites
+        assert peak < 1.5 * g.n_sites**2 * 8
+
     def test_distances_of_a_site_list(self):
         g = grid_of(3, 0.5, 4)
         sites = [80, 0, 5, 27, 26]
         d = hier_distance_matrix(g, sites)
         assert d.tolist() == [[hier_distance(x, y, 3) for y in sites]
                               for x in sites]
-        assert np.array_equal(d, hier_distance_matrix(g)[np.ix_(sites, sites)])
+        assert np.array_equal(d, hier_distance_matrix(
+            g, range(g.n_sites))[np.ix_(sites, sites)])
 
     def test_cap_enforced(self):
         with pytest.raises(DomainError):

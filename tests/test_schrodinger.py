@@ -131,6 +131,18 @@ class TestPositiveSpectrum:
         with pytest.raises(DomainError):
             positive_spectrum(VolumeGrid(PA_2_HALF, 3), delta_potential(100, 1.0))
 
+    def test_dense_branch_holds_one_matrix(self):
+        g = VolumeGrid(PA_2_QUARTER, 10)
+        v = powerlaw_potential(PA_2_QUARTER, 0, 3.0, 3, 6)
+        tracemalloc.start()
+        try:
+            report = positive_spectrum(g, v, method="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.count >= 1
+        assert peak < 1.5 * g.n_sites**2 * 8
+
 
 class TestCertifiedCounting:
     def test_birman_schwinger_equals_dense(self):
