@@ -9,10 +9,12 @@ forms that survive recurrence, and the distance-weighted forms.
 The unspecified theorem constants are reported as fitted ratios.
 """
 
-from hierspec import (LatticeParams, VolumeGrid, bound_report, count_and_sums,
+from hierspec import (LatticeParams, VolumeGrid, bound_report,
                       delta_potential, fitted_constant_range,
-                      powerlaw_potential, report_to_csv,
+                      positive_spectrum, powerlaw_potential,
                       secular_coupling_threshold, volume_coupling_threshold)
+from hierspec.bounds import REPORT_COLUMNS
+from hierspec.cli import format_table
 
 print("== coupling threshold for a point potential ==")
 pa_t = LatticeParams(4, 0.5)
@@ -25,7 +27,7 @@ for depth in (5, 6, 8):
 
 pa_r = LatticeParams(2, 0.25)
 grid_r = VolumeGrid(pa_r, 10)
-weak = count_and_sums(grid_r, delta_potential(0, 0.05), gammas=(1.0,))
+weak = positive_spectrum(grid_r, delta_potential(0, 0.05))
 print(f"\nrecurrent (nu=2, p=1/4): coupling 0.05 already binds: "
       f"N0 = {weak.count}, eigenvalue {weak.largest:.3e}")
 
@@ -34,12 +36,14 @@ thetas = [0.1 * 4**k for k in range(4)]
 potentials = [powerlaw_potential(pa_r, 0, th, 3.0, 5) for th in thetas]
 grid = VolumeGrid(pa_r, 8)
 rows = bound_report(
-    grid, potentials,
+    grid, potentials, thetas, [3.0] * len(thetas),
     theorems=("clr", "clr-general", "bargmann", "bargmann-uniform",
               "bargmann-refined"),
-    a=1.0, sigma=0.0, gamma=1.0, thetas=thetas, betas=[3.0] * len(thetas))
+    a=1.0, sigma=0.0, gamma=1.0)
 
-print(report_to_csv(rows))
+print(format_table(REPORT_COLUMNS,
+                   [[row[c] for c in REPORT_COLUMNS] for row in rows], {},
+                   "csv"))
 print("notes: the transient-only form is flagged divergent here "
       "(p nu = 1/2 < 1);")
 print("the annihilated and distance-weighted forms stay finite, and the")

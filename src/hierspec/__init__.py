@@ -17,21 +17,19 @@ from .lattice import (CubeRef, LatticeParams, Site, WalkTrajectory, cube_of,
 from .hierops import (HaarBasis, SpectrumSummary, VolumeGrid, apply_laplacian,
                       assemble_dense, dense_spectrum, dirichlet_spectrum,
                       expm_action, haar_spectrum, lanczos_extreme)
-from .closedform import (SpectralMeasure, green_tail_integral,
-                         green_tail_partial_sum, heat_exterior_mass,
-                         heat_kernel, heat_profile, ids, ids_profile,
-                         resolvent, resolvent_expansion, resolvent_zero,
-                         resolvent_zero_constant, spectral_measure, theta,
+from .closedform import (green_tail_integral, green_tail_partial_sum,
+                         heat_exterior_mass, heat_kernel, heat_profile, ids,
+                         ids_profile, resolvent, resolvent_expansion,
+                         resolvent_zero, resolvent_zero_constant, theta,
                          zeta_poles, zeta_spectral)
 from .annihilated import (a_coefficient, annihilated_resolvent_zero, p1_diag,
                           p1_small_t, p1_tail_integral,
                           p1_weighted_tail_integral, resolvent_annihilated,
                           resolvent_tilde)
 from .schrodinger import (EigenReport, Potential, count_above_threshold,
-                          count_and_sums, delta_potential, positive_spectrum,
+                          delta_potential, positive_spectrum,
                           potential_from_json, potential_to_json,
                           powerlaw_potential, secular_coupling_threshold,
                           secular_eigenvalue, volume_coupling_threshold)
 from .bounds import (BoundReport, bound_report, evaluate_functionals,
-                     fitted_constant_range, functional, report_to_csv,
-                     report_to_json)
+                     fitted_constant_range, functional)

@@ -35,9 +35,6 @@ with rho = rho(x0, x):
       w = V**(2-s_h/2) [1+rho**2]**(2-s_h)
 """
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -48,7 +45,7 @@ from .closedform import green_tail_integral
 from .errors import DivergentIntegralError, DomainError
 from .hierops import VolumeGrid
 from .lattice import LatticeParams, Site, hier_distance, rho_of_distance
-from .schrodinger import Potential, count_and_sums
+from .schrodinger import Potential, positive_spectrum
 
 THEOREM_TAGS = ("clr", "lt", "lt-weighted", "clr-general", "lt-general",
                 "lt-general-weighted", "bargmann", "bargmann-uniform",
@@ -170,7 +167,7 @@ def functional(grid: VolumeGrid, potential: Potential, theorem: str,
         head = 0
         if killed:
             if largest_eigenvalue is None:
-                largest_eigenvalue = count_and_sums(grid, potential).largest
+                largest_eigenvalue = positive_spectrum(grid, potential).largest
             head = largest_eigenvalue**gamma if largest_eigenvalue > 0 else 0.0
             report.components["lambda_term"] = head
     if killed:
@@ -192,8 +189,8 @@ def functional(grid: VolumeGrid, potential: Potential, theorem: str,
 
 def evaluate_functionals(grid: VolumeGrid, potential: Potential,
                          theorems=THEOREM_TAGS, a: float = 1.0,
-                         sigma: float = 0.0, gamma: float = 1.0,
-                         counting_method: str = "auto") -> list[BoundReport]:
+                         sigma: float = 0.0,
+                         gamma: float = 1.0) -> list[BoundReport]:
     """All requested functionals vs the exact counts for one potential.
 
     Counting functionals compare to N0, power-sum functionals (the ones
@@ -201,11 +198,9 @@ def evaluate_functionals(grid: VolumeGrid, potential: Potential,
     forms are left out when s_h >= 2.
     """
     _check_request(theorems, sigma, gamma)
-    gammas = (gamma,) if gamma else ()
-    exact = count_and_sums(grid, potential, gammas=gammas,
-                           method=counting_method)
+    exact = positive_spectrum(grid, potential)
     n0 = float(exact.count)
-    s_gamma = exact.sums.get(float(gamma), 0.0) if gamma else 0.0
+    s_gamma = exact.sum_gamma(float(gamma)) if gamma else 0.0
     reports = []
     for tag in theorems:
         if tag in _SUBCRITICAL_TAGS and grid.params.s_h >= 2.0:
@@ -216,25 +211,19 @@ def evaluate_functionals(grid: VolumeGrid, potential: Potential,
     return reports
 
 
-def bound_report(grid: VolumeGrid, potentials, theorems=THEOREM_TAGS,
-                 a: float = 1.0, sigma: float = 0.0, gamma: float = 1.0,
-                 thetas=None, betas=None,
-                 counting_method: str = "auto") -> list[dict]:
+def bound_report(grid: VolumeGrid, potentials, thetas, betas,
+                 theorems=THEOREM_TAGS, a: float = 1.0, sigma: float = 0.0,
+                 gamma: float = 1.0) -> list[dict]:
     """Sweep a potential family; one row per (potential, theorem).
 
-    ``thetas``/``betas`` are optional per-potential labels carried into
-    the rows.  Rows are emitted in deterministic order: lexicographic in
-    (theta, beta, theorem).
+    ``thetas``/``betas`` label each potential in its rows.  Rows are
+    emitted in deterministic order: lexicographic in (theta, beta,
+    theorem).  The CLI writes them as CSV or JSON.
     """
-    potentials = list(potentials)
-    thetas = list(thetas) if thetas is not None else [float(i) for i in
-                                                      range(len(potentials))]
-    betas = list(betas) if betas is not None else [0.0] * len(potentials)
     rows = []
     for pot, theta, beta in zip(potentials, thetas, betas):
         for rep in evaluate_functionals(grid, pot, theorems=theorems, a=a,
-                                        sigma=sigma, gamma=gamma,
-                                        counting_method=counting_method):
+                                        sigma=sigma, gamma=gamma):
             rows.append({
                 "theorem": rep.theorem,
                 "a": rep.a,
@@ -253,30 +242,6 @@ def bound_report(grid: VolumeGrid, potentials, theorems=THEOREM_TAGS,
 
 REPORT_COLUMNS = ("theorem", "a", "sigma", "gamma", "theta", "beta",
                   "functional", "actual", "fitted_constant", "flags")
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def report_to_csv(rows) -> str:
-    """RFC-4180 CSV ('.' decimals, 17 significant digits, CRLF)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in REPORT_COLUMNS])
-    return buf.getvalue()
-
-
-def report_to_json(rows) -> str:
-    """JSON mirror of the CSV report (sorted keys, round-trip floats)."""
-    return json.dumps({"rows": [dict(sorted(r.items())) for r in rows]},
-                      sort_keys=True, indent=2)
 
 
 def fitted_constant_range(rows, theorem: str):

@@ -5,9 +5,10 @@ Subcommands: spectrum, ids, heat, resolvent, zeta, annihilated,
 schrodinger, bounds, walk, selftest.  Output is CSV (RFC-4180, '.'
 decimals, 17 significant digits, CRLF, fixed column order; metadata as
 leading '#' comment lines) or JSON (sorted keys, shortest round-trip
-float repr, metadata under "meta").  Identical invocations produce
-byte-identical files.  Exit codes: 0 success, 1 domain/usage error,
-2 certification or convergence failure.
+float repr, metadata under "meta"), both written by :func:`format_table`.
+Identical invocations produce byte-identical files.  Exit codes: 0
+success, 1 domain/usage error (one "error:" line on stderr), 2
+certification or convergence failure.
 """
 
 import argparse
@@ -22,33 +23,48 @@ import numpy as np
 from . import __version__
 from . import annihilated as ann
 from . import closedform as cf
-from .bounds import REPORT_COLUMNS, _format_cell, bound_report
+from .bounds import REPORT_COLUMNS, bound_report
 from .errors import CertificationError, DomainError
 from .hierops import VolumeGrid, dense_spectrum, dirichlet_spectrum, \
     haar_spectrum
 from .lattice import LatticeParams, sample_walk
-from .schrodinger import (Potential, count_and_sums, delta_potential,
-                          potential_from_json, powerlaw_potential)
+from .schrodinger import (POSITIVITY_THRESHOLD, Potential, delta_potential,
+                          positive_spectrum, potential_from_json,
+                          powerlaw_potential)
 
 EXIT_OK, EXIT_DOMAIN, EXIT_CERTIFICATION = 0, 1, 2
 
 
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def format_table(columns, rows, meta, fmt) -> str:
+    """The table as CSV or JSON text (see the module docstring).
+
+    CSV writes ``meta`` as sorted ``# key=value`` lines, then the header
+    and the rows; a ``None`` cell is empty in CSV and ``null`` in JSON.
+    """
+    if fmt == "json":
+        payload = {"meta": meta, "columns": list(columns), "rows": list(rows)}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    for key in sorted(meta):
+        buf.write(f"# {key}={_format_cell(meta[key])}\r\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(v) for v in row])
+    return buf.getvalue()
+
+
 def _emit(args, columns, rows, meta):
-    meta = dict(meta, version=__version__)
-    if args.format == "json":
-        payload = {"meta": {k: meta[k] for k in sorted(meta)},
-                   "columns": list(columns),
-                   "rows": [list(r) for r in rows]}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        for key in sorted(meta):
-            buf.write(f"# {key}={_format_cell(meta[key])}\r\n")
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-        text = buf.getvalue()
+    text = format_table(columns, rows, dict(meta, version=__version__),
+                        args.format)
     if args.output:
         with open(args.output, "w", newline="") as handle:
             handle.write(text)
@@ -58,17 +74,21 @@ def _emit(args, columns, rows, meta):
 
 def _float_grid(spec: str):
     """Parse 'a,b,c' or 'lo:hi:n' (geometric when lo>0) into floats."""
-    if ":" in spec:
+    try:
+        if ":" not in spec:
+            return [float(x) for x in spec.split(",")]
         lo, hi, count = spec.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
-        if count < 1:
-            raise DomainError("grid needs at least one point")
-        if count == 1:
-            return [lo]
-        if lo > 0 and hi > lo:
-            return list(np.geomspace(lo, hi, count))
-        return list(np.linspace(lo, hi, count))
-    return [float(x) for x in spec.split(",")]
+    except ValueError:
+        raise DomainError(f"malformed grid {spec!r}: want 'a,b,c' or "
+                          f"'lo:hi:n'") from None
+    if count < 1:
+        raise DomainError("grid needs at least one point")
+    if count == 1:
+        return [lo]
+    if lo > 0 and hi > lo:
+        return list(np.geomspace(lo, hi, count))
+    return list(np.linspace(lo, hi, count))
 
 
 #: loosest certified series tolerance a user may request (tighter than
@@ -154,6 +174,8 @@ def _cmd_resolvent(args):
 def _cmd_zeta(args):
     params = _params(args)
     if args.mode == "theta":
+        if args.t is None:
+            raise DomainError("--mode theta needs --t")
         ts = _float_grid(args.t)
         rows = list(zip(ts, cf.theta(params, np.array(ts)).tolist()))
         _emit(args, ("t", "theta"), rows, _meta(args, mode="theta"))
@@ -171,12 +193,15 @@ def _cmd_zeta(args):
 
 def _cmd_annihilated(args):
     params = _params(args)
-    fn, grid, columns = {
-        "p1": (ann.p1_diag, args.t, ("t", "r", "p1")),
-        "resolvent": (lambda *a: ann.resolvent_annihilated(*a).real, args.lam,
+    fn, option, columns = {
+        "p1": (ann.p1_diag, "t", ("t", "r", "p1")),
+        "resolvent": (lambda *a: ann.resolvent_annihilated(*a).real, "lam",
                       ("lambda", "r", "value")),
-        "tail": (ann.p1_tail_integral, args.t, ("T", "r", "tail_integral")),
+        "tail": (ann.p1_tail_integral, "t", ("T", "r", "tail_integral")),
     }[args.mode]
+    grid = getattr(args, option)
+    if grid is None:
+        raise DomainError(f"--mode {args.mode} needs --{option}")
     rows = [(x, args.r, fn(params, x, args.r)) for x in _float_grid(grid)]
     _emit(args, columns, rows, _meta(args, r=args.r, mode=args.mode))
 
@@ -186,29 +211,45 @@ def _load_potential(args, params) -> Potential:
     if len(sources) != 1:
         raise DomainError("specify exactly one of --potential/--delta/--powerlaw")
     if args.potential:
-        with open(args.potential) as handle:
-            return potential_from_json(handle.read())
+        try:
+            with open(args.potential) as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise DomainError(f"cannot read --potential: {exc}") from None
+        return potential_from_json(text)
+    try:
+        if args.delta:
+            coupling, site = args.delta.split("@")
+            coupling, site = float(coupling), int(site)
+        else:
+            theta, beta, radius = args.powerlaw.split(",")
+            theta, beta, radius = float(theta), float(beta), int(radius)
+    except ValueError:
+        raise DomainError("--delta takes 'c@site' and --powerlaw "
+                          "'theta,beta,radius'") from None
     if args.delta:
-        coupling, site = args.delta.split("@")
-        return delta_potential(int(site), float(coupling))
-    theta, beta, radius = args.powerlaw.split(",")
-    return powerlaw_potential(params, 0, float(theta), float(beta), int(radius))
+        return delta_potential(site, coupling)
+    return powerlaw_potential(params, 0, theta, beta, radius)
 
 
 def _cmd_schrodinger(args):
     params = _params(args)
     grid = VolumeGrid(params, args.depth)
     potential = _load_potential(args, params)
-    gammas = [float(g) for g in args.gammas.split(",")] if args.gammas else []
-    report = count_and_sums(grid, potential, gammas=gammas,
-                            method=args.method)
+    gammas = args.gammas.split(",") if args.gammas else []
+    try:
+        gammas = sorted({float(g) for g in gammas})
+    except ValueError:
+        raise DomainError(f"--gammas takes a comma list of numbers, got "
+                          f"{args.gammas!r}") from None
+    report = positive_spectrum(grid, potential, method=args.method)
     rows = [("N0", float(report.count))]
-    rows += [(f"S_{g:g}", report.sums[g]) for g in sorted(report.sums)]
+    rows += [(f"S_{g:g}", report.sum_gamma(g)) for g in gammas]
     rows += [(f"lambda_{i}", float(v))
              for i, v in enumerate(report.eigenvalues)]
     _emit(args, ("quantity", "value"), rows,
           _meta(args, depth=args.depth, method=report.method,
-                threshold=report.threshold))
+                threshold=POSITIVITY_THRESHOLD))
 
 
 def _cmd_bounds(args):
@@ -218,9 +259,9 @@ def _cmd_bounds(args):
     potentials = [powerlaw_potential(params, 0, th, args.beta, args.radius)
                   for th in thetas]
     theorems = tuple(args.theorems.split(","))
-    rows = bound_report(grid, potentials, theorems=theorems, a=args.a,
-                        sigma=args.sigma, gamma=args.gamma, thetas=thetas,
-                        betas=[args.beta] * len(thetas))
+    rows = bound_report(grid, potentials, thetas, [args.beta] * len(thetas),
+                        theorems=theorems, a=args.a, sigma=args.sigma,
+                        gamma=args.gamma)
     table = [[row[c] for c in REPORT_COLUMNS] for row in rows]
     _emit(args, REPORT_COLUMNS, table,
           _meta(args, depth=args.depth, beta=args.beta, radius=args.radius,
@@ -336,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_walk)
 
     p = sub.add_parser("selftest", help="run the oracle-equivalence suite")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_selftest)
     return parser
 

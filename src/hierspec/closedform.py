@@ -28,7 +28,6 @@ equals scalar calls element by element, bit for bit.
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -41,17 +40,6 @@ from .lattice import LatticeParams
 
 SECTOR_ANGLE = 3.0 * math.pi / 4.0
 _MAX_TERMS = 100_000
-
-
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """Atoms (p**k, (1-1/nu) nu**(-k)) of the density of states."""
-
-    locations: tuple
-    weights: tuple
-
-    def total_weight(self) -> float:
-        return sum(self.weights)
 
 
 def _atom(params: LatticeParams, s: int) -> tuple[float, float]:
@@ -67,12 +55,6 @@ def _atom_table(params: LatticeParams) -> tuple:
     """Atoms s < _TABLE_ATOMS, cached per lattice: reading them halves the
     cost of a scalar resolvent against computing them term by term."""
     return tuple(_atom(params, s) for s in range(_TABLE_ATOMS))
-
-
-def spectral_measure(params: LatticeParams, n_atoms: int) -> SpectralMeasure:
-    atoms = [_atom(params, s) for s in range(n_atoms)]
-    return SpectralMeasure(locations=tuple(loc for loc, _ in atoms),
-                           weights=tuple(w for _, w in atoms))
 
 
 def _points(x):

@@ -458,21 +458,21 @@ def lanczos_extreme(matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         f"Lanczos did not converge {k} eigenpairs in {max_iter} iterations")
 
 
-def expm_action(matvec, v: np.ndarray, ts, *, m_start: int = 30,
-                m_max: int = 240, tol: float = 1e-11) -> np.ndarray:
+def expm_action(matvec, v: np.ndarray, ts) -> np.ndarray:
     """exp(t A) v for one or many t, A symmetric (Lanczos projection).
 
     Returns an array of shape (len(ts), len(v)); a scalar ``ts`` yields
-    shape (len(v),).  The Krylov dimension doubles until two successive
-    approximations of every requested exp(t A) v agree to ``tol``
-    (relative to ||v||); each doubling extends the same Lanczos basis.
+    shape (len(v),).  The Krylov dimension starts at 30 and doubles, up
+    to 240, until two successive approximations of every requested
+    exp(t A) v agree to 1e-11 (relative to ||v||); each doubling extends
+    the same Lanczos basis.
     """
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     beta = float(np.linalg.norm(v))
     if beta == 0.0:
         out = np.zeros((len(ts_arr), len(v)))
         return out if np.ndim(ts) else out[0]
-    basis = np.empty((max(m_start, m_max), len(v)))
+    basis = np.empty((240, len(v)))
     basis[0] = v / beta
     alphas, betas = [], []
 
@@ -487,14 +487,14 @@ def expm_action(matvec, v: np.ndarray, ts, *, m_start: int = 30,
         coeff = np.exp(np.outer(ts_arr, theta)) @ weights.T
         return beta * (coeff @ basis[:used]), used
 
-    prev, used = krylov(m_start)
-    m = m_start
-    while m < m_max:
+    m = 30
+    prev, used = krylov(m)
+    while m < 240:
         if used < m:  # Krylov space exhausted: result is exact
             return prev if np.ndim(ts) else prev[0]
         m *= 2
         cur, used = krylov(m)
-        if np.max(np.abs(cur - prev)) <= tol * beta:
+        if np.max(np.abs(cur - prev)) <= 1e-11 * beta:
             return cur if np.ndim(ts) else cur[0]
         prev = cur
     raise CertificationError("Krylov matrix exponential did not converge")

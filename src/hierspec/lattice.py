@@ -53,12 +53,6 @@ class LatticeParams:
     def alpha(self) -> float:
         return 1.0 - self.s_h / 2.0
 
-    def jump_weight(self, r: int) -> float:
-        """Probability a_r that a jump targets the rank-r enclosing cube."""
-        if r < 1:
-            raise DomainError("jump ranks start at 1")
-        return (1.0 - self.p) * self.p ** (r - 1)
-
     def jump_weights(self, count: int) -> np.ndarray:
         """First ``count`` jump weights a_1..a_count as an array."""
         r = np.arange(1, count + 1)

@@ -2,10 +2,10 @@
 
 Potentials are nonnegative with finite support, so the positive
 spectrum of L + V is a finite set of eigenvalues above the (strictly
-negative) spectrum of the volume Laplacian.  Counting uses a strict
-positivity threshold (default 1e-12): the Dirichlet volume has no
-exact zero modes, so any eigenvalue above the threshold is a genuine
-bound state at working precision.
+negative) spectrum of the volume Laplacian.  Counting uses the strict
+positivity threshold ``POSITIVITY_THRESHOLD = 1e-12``: the Dirichlet
+volume has no exact zero modes, so any eigenvalue above it is a
+genuine bound state at working precision.
 
 The volume Green function G_tau = (tau - L)^(-1) depends only on the
 distance of its two sites; :meth:`HaarBasis.green_by_distance` gives
@@ -24,7 +24,7 @@ c G_lam(0) = 1 all read it.  Two solver paths:
 """
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -99,8 +99,8 @@ def potential_to_json(potential: Potential) -> str:
 def potential_from_json(text: str) -> Potential:
     """Parse the JSON potential format; values may be numbers or exact
     decimal strings."""
-    data = json.loads(text)
     try:
+        data = json.loads(text)
         support = {int(s): float(v) for s, v in data["sites"]}
         origin = int(data.get("origin", 0))
     except (KeyError, TypeError, ValueError) as exc:
@@ -112,16 +112,14 @@ def potential_from_json(text: str) -> Potential:
 class EigenReport:
     """Positive spectrum of L + V with counting and power sums.
 
-    ``eigenvalues`` are sorted descending and all exceed ``threshold``;
-    ``count`` is their number (with multiplicity) and
-    ``sums[gamma] = sum(eigenvalues**gamma)``.
+    ``eigenvalues`` are sorted descending and all exceed
+    ``POSITIVITY_THRESHOLD``; ``count`` is their number (with
+    multiplicity) and ``sum_gamma(gamma) = sum(eigenvalues**gamma)``.
     """
 
     eigenvalues: np.ndarray
-    threshold: float
     method: str
     depth: int
-    sums: dict = dataclass_field(default_factory=dict)
     residual_norms: np.ndarray | None = None
 
     @property
@@ -167,9 +165,9 @@ def count_above_threshold(grid: VolumeGrid, potential: Potential,
 
 
 def positive_spectrum(grid: VolumeGrid, potential: Potential,
-                      threshold: float = POSITIVITY_THRESHOLD,
                       method: str = "auto") -> EigenReport:
-    """Eigenvalues of L + V above ``threshold``, with multiplicity.
+    """Eigenvalues of L + V above ``POSITIVITY_THRESHOLD``, with
+    multiplicity.
 
     ``method``: "dense" | "iterative" | "auto" (dense up to
     ``DENSE_CAP_DEFAULT`` sites).
@@ -183,15 +181,15 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
         m = assemble_dense(grid, potential)
         # m.T is m in Fortran order, so LAPACK overwrites it with no copy
         vals = scipy.linalg.eigvalsh(m.T, overwrite_a=True)[::-1]
-        pos = vals[vals > threshold]
-        return EigenReport(eigenvalues=np.asarray(pos), threshold=threshold,
-                           method="dense", depth=grid.depth)
+        pos = vals[vals > POSITIVITY_THRESHOLD]
+        return EigenReport(eigenvalues=np.asarray(pos), method="dense",
+                           depth=grid.depth)
     if method != "iterative":
         raise DomainError(f"unknown method {method!r}")
-    n_expected = count_above_threshold(grid, potential, threshold)
+    n_expected = count_above_threshold(grid, potential)
     if n_expected == 0:
-        return EigenReport(eigenvalues=np.array([]), threshold=threshold,
-                           method="iterative", depth=grid.depth)
+        return EigenReport(eigenvalues=np.array([]), method="iterative",
+                           depth=grid.depth)
     diag = potential_diagonal(grid, potential)
 
     def matvec(v):
@@ -200,24 +198,13 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
     vals, vecs = lanczos_extreme(matvec, grid.n_sites, n_expected)
     resid = np.array([np.linalg.norm(matvec(vecs[:, i]) - vals[i] * vecs[:, i])
                       for i in range(n_expected)])
-    pos = vals[vals > threshold]
+    pos = vals[vals > POSITIVITY_THRESHOLD]
     if len(pos) != n_expected:
         raise DomainError(
             f"Lanczos found {len(pos)} positive eigenvalues but the "
             f"Birman-Schwinger count certifies {n_expected}")
-    return EigenReport(eigenvalues=pos, threshold=threshold,
-                       method="iterative", depth=grid.depth,
+    return EigenReport(eigenvalues=pos, method="iterative", depth=grid.depth,
                        residual_norms=resid)
-
-
-def count_and_sums(grid: VolumeGrid, potential: Potential, gammas=(),
-                   threshold: float = POSITIVITY_THRESHOLD,
-                   method: str = "auto") -> EigenReport:
-    """positive_spectrum plus the power sums S_gamma for each gamma."""
-    report = positive_spectrum(grid, potential, threshold=threshold,
-                               method=method)
-    report.sums = {float(g): report.sum_gamma(float(g)) for g in gammas}
-    return report
 
 
 def secular_coupling_threshold(params: LatticeParams) -> float:

@@ -50,8 +50,14 @@ def test_criterion_01_spectrum_exactness():
                     continue
                 for p in (0.3, 0.5, 0.7):
                     grid = VolumeGrid(LatticeParams(nu, p), depth)
-                    dense = np.sort(scipy.linalg.eigvalsh(
-                        -assemble_dense(grid, cap=6561), overwrite_a=True))
+                    # one n x n array: m.T is m in Fortran order, so
+                    # LAPACK overwrites it in place, as in dense_spectrum;
+                    # it is freed before the next volume is assembled
+                    m = assemble_dense(grid, cap=6561)
+                    np.negative(m, out=m)
+                    dense = np.sort(scipy.linalg.eigvalsh(m.T,
+                                                          overwrite_a=True))
+                    del m
                     closed = np.sort(dirichlet_spectrum(grid).expand())
                     assert len(dense) == len(closed)
                     worst = np.max(np.abs(dense - closed))

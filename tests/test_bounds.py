@@ -13,7 +13,8 @@ import hierspec.closedform as cf
 from hierspec.annihilated import a_coefficient
 from hierspec.bounds import (REPORT_COLUMNS, THEOREM_TAGS, bound_report,
                              evaluate_functionals, fitted_constant_range,
-                             functional, report_to_csv, report_to_json)
+                             functional)
+from hierspec.cli import format_table
 from hierspec.errors import DomainError
 from hierspec.hierops import VolumeGrid, assemble_dense
 from hierspec.lattice import LatticeParams, hier_distance
@@ -170,9 +171,10 @@ class TestValidation:
         (("lt",), 0.0, 0.0)])
     def test_rejected_before_the_eigensolve(self, monkeypatch, theorems,
                                             sigma, gamma):
-        def count_and_sums(*args, **kwargs):
+        def positive_spectrum(*args, **kwargs):
             raise AssertionError("eigensolve run before validation")
-        monkeypatch.setattr("hierspec.bounds.count_and_sums", count_and_sums)
+        monkeypatch.setattr("hierspec.bounds.positive_spectrum",
+                            positive_spectrum)
         with pytest.raises(DomainError):
             evaluate_functionals(VolumeGrid(PA_2_QUARTER, 4),
                                  delta_potential(1, 0.5), theorems=theorems,
@@ -274,8 +276,9 @@ class TestHarness:
                     assert sup * row["functional"] >= row["actual"] - 1e-9
 
     def test_csv_shape_and_determinism(self, sweep):
-        text = report_to_csv(sweep)
-        assert text == report_to_csv(sweep)
+        table = [[row[c] for c in REPORT_COLUMNS] for row in sweep]
+        text = format_table(REPORT_COLUMNS, table, {}, "csv")
+        assert text == format_table(REPORT_COLUMNS, table, {}, "csv")
         reader = csv.reader(io.StringIO(text))
         rows = list(reader)
         assert rows[0] == list(REPORT_COLUMNS)
@@ -283,8 +286,9 @@ class TestHarness:
         assert text.count("\r\n") == 13
 
     def test_json_mirror_round_trips(self, sweep):
-        payload = json.loads(report_to_json(sweep))
+        table = [[row[c] for c in REPORT_COLUMNS] for row in sweep]
+        payload = json.loads(format_table(REPORT_COLUMNS, table, {}, "json"))
+        assert payload["columns"] == list(REPORT_COLUMNS)
         assert len(payload["rows"]) == len(sweep)
         for parsed, row in zip(payload["rows"], sweep):
-            assert parsed["functional"] == row["functional"]
-            assert parsed["theta"] == row["theta"]
+            assert dict(zip(REPORT_COLUMNS, parsed)) == row

@@ -8,7 +8,11 @@ import sys
 
 import pytest
 
-from hierspec.cli import main
+from hierspec.bounds import REPORT_COLUMNS, bound_report
+from hierspec.cli import format_table, main
+from hierspec.hierops import VolumeGrid
+from hierspec.lattice import LatticeParams
+from hierspec.schrodinger import powerlaw_potential
 
 RUN = [sys.executable, "-m", "hierspec.cli"]
 
@@ -130,6 +134,33 @@ class TestExitCodes:
         assert out.returncode == 0
         assert "PASS" in out.stdout
 
+    @pytest.mark.parametrize("option", ["--format", "--output"])
+    def test_selftest_takes_no_table_options(self, tmp_path, option):
+        path = tmp_path / "out.csv"
+        out = run_cli(["selftest", option,
+                       "csv" if option == "--format" else str(path)])
+        assert out.returncode == 1
+        assert "unrecognized arguments" in out.stderr
+        assert not path.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["heat", "--t", "1:2:x"],
+        ["heat", "--t", "a,b"],
+        ["schrodinger", "--depth", "4", "--delta", "1@0", "--gammas", "a"],
+        ["schrodinger", "--depth", "4", "--delta", "0.7"],
+        ["schrodinger", "--depth", "4", "--delta", "a@0"],
+        ["schrodinger", "--depth", "4", "--powerlaw", "1,2"],
+        ["schrodinger", "--depth", "4", "--potential", "no-such-file.json"],
+        ["annihilated", "--mode", "p1", "--r", "1"],
+        ["annihilated", "--mode", "resolvent", "--r", "1"],
+        ["zeta", "--mode", "theta"],
+    ])
+    def test_malformed_input_is_a_domain_error(self, args):
+        out = run_cli([args[0], "--nu", "2", "--p", "0.5"] + args[1:])
+        assert out.returncode == 1
+        assert "error:" in out.stderr
+        assert "Traceback" not in out.stderr
+
 
 class TestSchrodingerCommand:
     def test_potential_file(self, tmp_path):
@@ -194,6 +225,33 @@ class TestBoundsCommand:
                        "--theorems", theorems])
         assert out.returncode == 1
         assert "sigma must be nonnegative" in out.stderr
+
+    def test_csv_bytes_pinned(self):
+        # RFC-4180 quoting of a cell holding a comma, empty cells for
+        # None and 17 significant digits; no digit depends on the BLAS
+        out = subprocess.run(RUN + [
+            "bounds", "--nu", "2", "--p", "0.25", "--depth", "5",
+            "--radius", "2", "--thetas", "0.8", "--theorems", "clr"],
+            capture_output=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.endswith(
+            b'clr,1,0,,0.80000000000000004,3,,1,,"divergent: divergent '
+            b'integral: gamma=0.0, s_h=1 (p*nu=0.5)"\r\n')
+
+    def test_json_rows_match_the_table_writer(self):
+        out = run_cli(["bounds", "--nu", "2", "--p", "0.25", "--depth", "4",
+                       "--thetas", "0.2,0.8", "--radius", "3", "--sigma", "1",
+                       "--gamma", "0.8", "--format", "json"])
+        assert out.returncode == 0, out.stderr
+        params = LatticeParams(2, 0.25)
+        thetas = [0.2, 0.8]
+        rows = bound_report(
+            VolumeGrid(params, 4),
+            [powerlaw_potential(params, 0, th, 3.0, 3) for th in thetas],
+            thetas, [3.0] * 2, sigma=1.0, gamma=0.8)
+        table = [[row[c] for c in REPORT_COLUMNS] for row in rows]
+        text = format_table(REPORT_COLUMNS, table, {}, "json")
+        assert json.loads(text)["rows"] == json.loads(out.stdout)["rows"]
 
     def test_json_missing_cells_are_null(self):
         # the divergent clr row has no functional, fitted constant or gamma

@@ -343,10 +343,10 @@ class TestThetaZeta:
         with pytest.raises(SpectrumProximityError):
             cf.zeta_spectral(PA_2_HALF, 1.0)
 
-    def test_spectral_measure(self):
-        meas = cf.spectral_measure(LatticeParams(3, 0.4), 40)
-        assert meas.total_weight() == pytest.approx(1.0, abs=1e-15)
-        assert all(a > b for a, b in zip(meas.locations, meas.locations[1:]))
+    def test_atom_table_is_the_density_of_states(self):
+        locations, weights = zip(*cf._atom_table(LatticeParams(3, 0.4))[:40])
+        assert sum(weights) == pytest.approx(1.0, abs=1e-15)
+        assert all(a > b for a, b in zip(locations, locations[1:]))
 
 
 class TestGreenTail:

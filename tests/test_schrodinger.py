@@ -11,9 +11,9 @@ from hierspec.errors import DomainError
 from hierspec.hierops import VolumeGrid, assemble_dense
 from hierspec.lattice import LatticeParams
 from hierspec.schrodinger import (Potential, count_above_threshold,
-                                  count_and_sums, delta_potential,
-                                  positive_spectrum, potential_from_json,
-                                  potential_to_json, powerlaw_potential,
+                                  delta_potential, positive_spectrum,
+                                  potential_from_json, potential_to_json,
+                                  powerlaw_potential,
                                   secular_coupling_threshold,
                                   secular_eigenvalue,
                                   volume_coupling_threshold)
@@ -50,6 +50,8 @@ class TestPotential:
     def test_json_malformed(self):
         with pytest.raises(DomainError):
             potential_from_json('{"sites": [["a", "b", "c"]]}')
+        with pytest.raises(DomainError):
+            potential_from_json('{')
 
 
 class TestPositiveSpectrum:
@@ -57,7 +59,7 @@ class TestPositiveSpectrum:
         g = VolumeGrid(PA_2_HALF, 6)
         report = positive_spectrum(g, Potential({}))
         assert report.count == 0
-        assert count_and_sums(g, Potential({}), gammas=(0.5,)).sums[0.5] == 0.0
+        assert report.sum_gamma(0.5) == 0.0
 
     def test_transient_coupling_threshold(self):
         # c* = (p nu - 1)/(p (nu - 1)) = 2/3 on the infinite lattice;
@@ -98,8 +100,8 @@ class TestPositiveSpectrum:
 
     def test_sum_matches_secular_root(self):
         g = VolumeGrid(PA_2_HALF, 8)
-        report = count_and_sums(g, delta_potential(0, 5.0), gammas=(1.0,))
-        assert report.sums[1.0] == pytest.approx(
+        report = positive_spectrum(g, delta_potential(0, 5.0))
+        assert report.sum_gamma(1.0) == pytest.approx(
             secular_eigenvalue(g, 0, 5.0), abs=1e-10)
 
     def test_monotone_in_potential(self):
