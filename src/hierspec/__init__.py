@@ -16,7 +16,7 @@ from .lattice import (CubeRef, LatticeParams, Site, WalkTrajectory, cube_of,
                       site_from_digits)
 from .hierops import (HaarBasis, SpectrumSummary, VolumeGrid, apply_laplacian,
                       assemble_dense, dense_spectrum, dirichlet_spectrum,
-                      expm_action, haar_spectrum, lanczos_extreme)
+                      expm_action, lanczos_extreme)
 from .closedform import (green_tail_integral, green_tail_partial_sum,
                          heat_exterior_mass, heat_kernel, heat_profile, ids,
                          ids_profile, resolvent, resolvent_expansion,

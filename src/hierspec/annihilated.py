@@ -95,12 +95,13 @@ def annihilated_resolvent_zero(params: LatticeParams, r: int) -> float:
     return value
 
 
-def resolvent_annihilated(params: LatticeParams, lam: complex, r: int,
-                          tol: float = 1e-14) -> complex:
-    """Diagonal resolvent of the x0-killed walk at distance r from x0."""
+def resolvent_annihilated(params: LatticeParams, lam: complex,
+                          r: int) -> complex:
+    """Diagonal resolvent of the x0-killed walk at distance r from x0
+    (R_lam(x,x) certified to 1e-14)."""
     _check_r(r)
     tilde = resolvent_tilde(params, lam, r)
-    diag = resolvent(params, lam, 0, tol=tol)
+    diag = resolvent(params, lam, 0)
     value = -2.0 * tilde - tilde * tilde / diag
     if complex(lam).imag == 0.0 and complex(lam).real > 0.0:
         return complex(value.real, 0.0)
@@ -134,18 +135,16 @@ def _deleted_expm_setup(nu: int, p: float, r: int, depth: int):
     return matvec, v0, x
 
 
-def p1_small_t(params: LatticeParams, ts, r: int,
-               depth: int | None = None) -> np.ndarray:
-    """p1(t,x,x) from the finite-volume deleted operator, vectorized in t.
+def p1_small_t(params: LatticeParams, ts, r: int) -> np.ndarray:
+    """p1(t,x,x) from the deleted operator on the finite volume of depth
+    max(r + 2, about log_nu 16384), vectorized in t.
 
     Accuracy is limited by the boundary leak ~ p**depth * t, which is
     why this path serves only small t.
     """
     _check_r(r)
-    depth = depth or _default_depth(params, r)
-    if r >= depth:
-        raise DomainError("need r < depth so x stays inside the volume")
-    matvec, v0, x = _deleted_expm_setup(params.nu, params.p, r, depth)
+    matvec, v0, x = _deleted_expm_setup(params.nu, params.p, r,
+                                        _default_depth(params, r))
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     vals = expm_action(matvec, v0, ts_arr)[:, x]
     vals = np.clip(vals, 0.0, 1.0)
@@ -156,6 +155,7 @@ def p1_small_t(params: LatticeParams, ts, r: int,
 # the kernel and its time integrals: certified sums over the spectral measure
 
 _ROUNDING = 1e-14  # relative rounding allowance of a sum over the measure
+_TOL = 1e-10  # certified absolute error of p1_diag and p1_tail_integral
 
 
 @lru_cache(maxsize=64)
@@ -209,27 +209,25 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     return mu, c, tail
 
 
-def p1_diag(params: LatticeParams, t: float, r: int, tol: float = 1e-10,
-            depth: int | None = None) -> float:
+def p1_diag(params: LatticeParams, t: float, r: int) -> float:
     """Annihilated-kernel diagonal p1(t, x, x) at distance r from x0.
 
     t >= 1 sums c e**(-mu t) over the spectral measure; the roots left
     out add at most their weight tail, so the error is <= tail + rounding
-    and CertificationError is raised when that exceeds ``tol``.  t < 1
-    delegates to the finite-volume matrix exponential (error
-    ~ p**depth * t).
+    and CertificationError is raised when that exceeds ``_TOL`` = 1e-10.
+    t < 1 delegates to :func:`p1_small_t` (error ~ p**depth * t).
     """
     _check_r(r)
     if t < 0:
         raise DomainError("time must be nonnegative")
     if t < 1.0:
-        return float(p1_small_t(params, float(t), r, depth=depth))
+        return float(p1_small_t(params, float(t), r))
     mu, c, tail = _measure(params, r, 1e-40)  # _measure_integral's cache key
     value = float(np.sum(c * np.exp(-mu * t)))
     bound = tail + _ROUNDING * value
-    if bound > tol:
+    if bound > _TOL:
         raise CertificationError(
-            f"p1 at t={t}: bound {bound:.3g} exceeds {tol:.3g}")
+            f"p1 at t={t}: bound {bound:.3g} exceeds {_TOL:.3g}")
     return value
 
 
@@ -268,9 +266,8 @@ def _measure_integral(params: LatticeParams, T: float, gamma: float, r: int,
 
 
 @lru_cache(maxsize=65536)
-def p1_tail_integral(params: LatticeParams, T: float, r: int,
-                     tol: float = 1e-10) -> float:
-    """int_T^inf p1(t, x, x) dt, certified to ``tol``.
+def p1_tail_integral(params: LatticeParams, T: float, r: int) -> float:
+    """int_T^inf p1(t, x, x) dt, certified to ``_TOL`` = 1e-10.
 
     T = 0 is the exact lam -> 0 resolvent limit (equal to
     a(r) = -2 Rt_0(r) when s_h < 2); T > 0 sums (c/mu) e**(-mu T) over
@@ -282,7 +279,7 @@ def p1_tail_integral(params: LatticeParams, T: float, r: int,
         raise DomainError("lower limit must be nonnegative")
     if T == 0.0:
         return annihilated_resolvent_zero(params, r)
-    return _measure_integral(params, T, 0.0, r, tol)
+    return _measure_integral(params, T, 0.0, r, _TOL)
 
 
 @lru_cache(maxsize=65536)

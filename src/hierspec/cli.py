@@ -25,8 +25,7 @@ from . import annihilated as ann
 from . import closedform as cf
 from .bounds import REPORT_COLUMNS, bound_report
 from .errors import CertificationError, DomainError
-from .hierops import VolumeGrid, dense_spectrum, dirichlet_spectrum, \
-    haar_spectrum
+from .hierops import VolumeGrid, dense_spectrum, dirichlet_spectrum
 from .lattice import LatticeParams, sample_walk
 from .schrodinger import (POSITIVITY_THRESHOLD, Potential, delta_potential,
                           positive_spectrum, potential_from_json,
@@ -72,16 +71,27 @@ def _emit(args, columns, rows, meta):
         sys.stdout.write(text)
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float option: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"want a finite number, got {text!r}")
+    return value
+
+
 def _float_grid(spec: str):
-    """Parse 'a,b,c' or 'lo:hi:n' (geometric when lo>0) into floats."""
+    """Parse 'a,b,c' or 'lo:hi:n' (geometric when lo>0) into finite floats."""
     try:
         if ":" not in spec:
-            return [float(x) for x in spec.split(",")]
+            return [_finite_float(x) for x in spec.split(",")]
         lo, hi, count = spec.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
-    except ValueError:
+        lo, hi, count = _finite_float(lo), _finite_float(hi), int(count)
+    except (ValueError, argparse.ArgumentTypeError):
         raise DomainError(f"malformed grid {spec!r}: want 'a,b,c' or "
-                          f"'lo:hi:n'") from None
+                          f"'lo:hi:n' of finite numbers") from None
     if count < 1:
         raise DomainError("grid needs at least one point")
     if count == 1:
@@ -123,14 +133,8 @@ def _meta(args, **extra):
 
 def _cmd_spectrum(args):
     grid = VolumeGrid(_params(args), args.depth)
-    if args.method == "closed":
-        summary = dirichlet_spectrum(grid)
-    elif args.method == "dense":
-        summary = dense_spectrum(grid)
-    elif args.method == "haar":
-        summary = haar_spectrum(grid)
-    else:
-        raise DomainError(f"unknown spectrum method {args.method!r}")
+    summary = (dense_spectrum if args.method == "dense"
+               else dirichlet_spectrum)(grid)
     rows = [(val, mult) for val, mult in summary.entries]
     _emit(args, ("eigenvalue", "multiplicity"), rows,
           _meta(args, depth=args.depth, method=args.method,
@@ -229,7 +233,15 @@ def _load_potential(args, params) -> Potential:
                           "'theta,beta,radius'") from None
     if args.delta:
         return delta_potential(site, coupling)
+    _require_radius_within_depth(radius, args.depth)
     return powerlaw_potential(params, 0, theta, beta, radius)
+
+
+def _require_radius_within_depth(radius: int, depth: int):
+    """Refuse a radius past the volume before its nu**radius sites exist."""
+    if radius > depth:
+        raise DomainError(f"power-law radius {radius} exceeds --depth "
+                          f"{depth}: its cube would leave the volume")
 
 
 def _cmd_schrodinger(args):
@@ -256,6 +268,7 @@ def _cmd_bounds(args):
     params = _params(args)
     grid = VolumeGrid(params, args.depth)
     thetas = _float_grid(args.thetas)
+    _require_radius_within_depth(args.radius, args.depth)
     potentials = [powerlaw_potential(params, 0, th, args.beta, args.radius)
                   for th in thetas]
     theorems = tuple(args.theorems.split(","))
@@ -292,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, depth=False):
         p.add_argument("--nu", type=int, required=True, help="branching factor")
-        p.add_argument("--p", type=float, required=True, help="jump decay in (0,1)")
+        p.add_argument("--p", type=_finite_float, required=True,
+                       help="jump decay in (0,1)")
         if depth:
             p.add_argument("--depth", type=int, required=True,
                            help="finite-volume depth N")
@@ -301,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="finite-volume spectrum of -L")
     common(p, depth=True)
-    p.add_argument("--method", choices=("closed", "dense", "haar"),
-                   default="closed")
+    p.add_argument("--method", choices=("closed", "dense"), default="closed")
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("ids", help="integrated density of states")
@@ -316,14 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=0, help="hierarchical distance")
     p.add_argument("--profile", action="store_true",
                    help="emit (t, ln t mod period, t^{s_h/2} p(t)) rows")
-    p.add_argument("--tol", type=float, help="series tolerance override")
+    p.add_argument("--tol", type=_finite_float,
+                   help="series tolerance override")
     p.set_defaults(handler=_cmd_heat)
 
     p = sub.add_parser("resolvent", help="resolvent kernel on the real axis")
     common(p)
     p.add_argument("--lam", required=True, help="lambda grid (positive reals)")
     p.add_argument("--r", type=int, default=0)
-    p.add_argument("--tol", type=float, help="series tolerance override")
+    p.add_argument("--tol", type=_finite_float,
+                   help="series tolerance override")
     p.set_defaults(handler=_cmd_resolvent)
 
     p = sub.add_parser("zeta", help="theta function, spectral zeta, poles")
@@ -331,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("theta", "zeta", "poles"),
                    default="poles")
     p.add_argument("--t", help="time grid for --mode theta")
-    p.add_argument("--z-re", type=float, default=0.0)
-    p.add_argument("--z-im", type=float, default=0.0)
+    p.add_argument("--z-re", type=_finite_float, default=0.0)
+    p.add_argument("--z-im", type=_finite_float, default=0.0)
     p.add_argument("--count", type=int, default=5, help="poles to list")
     p.set_defaults(handler=_cmd_zeta)
 
@@ -358,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bound functionals vs exact counts")
     common(p, depth=True)
     p.add_argument("--thetas", default="0.1:25.6:9", help="theta sweep grid")
-    p.add_argument("--beta", type=float, default=3.0)
+    p.add_argument("--beta", type=_finite_float, default=3.0)
     p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--a", type=_finite_float, default=1.0)
+    p.add_argument("--sigma", type=_finite_float, default=0.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--theorems",
                    default="clr,lt,lt-weighted,clr-general,lt-general,"
                            "lt-general-weighted,bargmann,bargmann-uniform,"
@@ -372,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walk", help="sample one walk trajectory")
     common(p)
     p.add_argument("--x0", type=int, default=0)
-    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--horizon", type=_finite_float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_walk)
 

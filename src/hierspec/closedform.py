@@ -197,9 +197,9 @@ def heat_profile(params: LatticeParams, t, tol: float = 1e-12):
     return _result(scale * heat_kernel(params, t, 0, tol=kernel_tol))
 
 
-def heat_exterior_mass(params: LatticeParams, t, volume_rank: int,
-                       tol: float = 1e-14):
-    """Probability the walk sits outside the rank-R cube of its start.
+def heat_exterior_mass(params: LatticeParams, t, volume_rank: int):
+    """Probability the walk sits outside the rank-R cube of its start,
+    certified to 1e-14.
 
     Closed form obtained by summing p(t, r) over the shells r > R
     (nu**(r-1) (nu-1) sites per shell):
@@ -215,7 +215,7 @@ def heat_exterior_mass(params: LatticeParams, t, volume_rank: int,
     nu, p = params.nu, params.p
     # the terms past atom S weigh nu**R nu**-(S+1) at most
     last = _last_index(volume_rank + 1, float(nu) ** volume_rank, 1.0 / nu,
-                       tol)
+                       1e-14)
     rest = _sum_atoms(params, _heat_term(t), volume_rank + 1, last)
     value = (1.0 - (1.0 - 1.0 / nu) * np.exp(-(p**volume_rank) * t)
              - nu**volume_rank * rest)
@@ -301,8 +301,8 @@ def resolvent_zero_constant(params: LatticeParams) -> float:
     return pnu * (1.0 - params.p) / (pnu - 1.0)
 
 
-def resolvent_expansion(params: LatticeParams, lam: float,
-                        tol: float = 1e-14) -> tuple[float, float, float]:
+def resolvent_expansion(params: LatticeParams,
+                        lam: float) -> tuple[float, float, float]:
     """Small-lam structure of the diagonal resolvent when s_h < 2.
 
     R_lam(x,x) = lam**(-alpha) u(ln lam / ln p) + c0 + O(lam) with
@@ -311,7 +311,8 @@ def resolvent_expansion(params: LatticeParams, lam: float,
 
         (c0, u_est, drift_bound)
 
-    where u_est = lam**alpha (R_lam - c0) estimates the profile and
+    where u_est = lam**alpha (R_lam - c0) estimates the profile (R_lam
+    certified to 1e-14) and
     drift_bound = p**2 (nu-1) lam**(1+alpha) bounds
     |u_est(p lam) - u_est(lam)| exactly (the functional equation
     R_{p lam} - R_lam/(p nu) = (nu-1)/(nu (p lam + 1)) makes the drift
@@ -324,7 +325,7 @@ def resolvent_expansion(params: LatticeParams, lam: float,
     nu, p = params.nu, params.p
     c0 = p * (nu - 1.0) / (p * nu - 1.0)
     alpha = params.alpha
-    r_diag = resolvent(params, lam, 0, tol=tol).real
+    r_diag = resolvent(params, lam, 0).real
     u_est = lam**alpha * (r_diag - c0)
     bound = p**2 * (nu - 1.0) * lam ** (1.0 + alpha)
     return c0, u_est, bound
@@ -334,12 +335,12 @@ def resolvent_expansion(params: LatticeParams, lam: float,
 # theta and spectral zeta
 
 
-def theta(params: LatticeParams, t, tol: float = 1e-14):
+def theta(params: LatticeParams, t):
     """theta(t) = integral of exp(-lam t) against the density of states.
 
-    Coincides with the diagonal heat kernel p(t, x, x).
+    Coincides with the diagonal heat kernel p(t, x, x), certified to 1e-14.
     """
-    return heat_kernel(params, t, 0, tol=tol)
+    return heat_kernel(params, t, 0)
 
 
 def zeta_spectral(params: LatticeParams, z: complex) -> complex:
@@ -432,9 +433,10 @@ def green_tail_divergent(params: LatticeParams, gamma: float) -> bool:
 
 
 @lru_cache(maxsize=65536)
-def green_tail_integral(params: LatticeParams, T: float, gamma: float = 0.0,
-                        tol: float = 1e-12) -> float:
-    """int_T^inf t**(-gamma) p(t, x, x) dt, termwise with certified tail.
+def green_tail_integral(params: LatticeParams, T: float,
+                        gamma: float = 0.0) -> float:
+    """int_T^inf t**(-gamma) p(t, x, x) dt, termwise with its tail
+    certified to 1e-12.
 
     gamma = 0 requires the transient regime p*nu > 1 and evaluates
 
@@ -450,7 +452,7 @@ def green_tail_integral(params: LatticeParams, T: float, gamma: float = 0.0,
         raise DomainError("lower limit must be nonnegative")
     if gamma < 0:
         raise DomainError("gamma must be nonnegative")
-    nu, p = params.nu, params.p
+    nu, p, tol = params.nu, params.p, 1e-12
     coeff = 1.0 - 1.0 / nu
     if green_tail_divergent(params, gamma):
         raise DivergentIntegralError(

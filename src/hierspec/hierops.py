@@ -27,7 +27,6 @@ is the exact value of sum_{r>N} a_r / nu**r.  Consequences used below:
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -67,11 +66,6 @@ class VolumeGrid:
         """|eigenvalue| of -L on the constant vector: p**N (nu-1)/(nu-p)."""
         nu, p, N = self.params.nu, self.params.p, self.depth
         return p**N * (nu - 1.0) / (nu - p)
-
-    def require_dense(self, cap: int = DENSE_CAP_DEFAULT):
-        if self.n_sites > cap:
-            raise DomainError(
-                f"dense path needs nu**depth <= {cap}, got {self.n_sites}")
 
 
 def _check_field(field: np.ndarray, grid: VolumeGrid) -> np.ndarray:
@@ -158,8 +152,7 @@ def hier_distance_matrix(grid: VolumeGrid, sites) -> np.ndarray:
                                grid.params.nu, grid.depth)
 
 
-def assemble_dense(grid: VolumeGrid, potential=None,
-                   cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+def assemble_dense(grid: VolumeGrid, diagonal=None) -> np.ndarray:
     """Dense symmetric matrix of L + V on the volume.
 
     Entries follow from summing the defining series per site pair:
@@ -167,15 +160,19 @@ def assemble_dense(grid: VolumeGrid, potential=None,
 
         M[x,y] = (1-p) p**(r-1) / (nu**(r-1) (nu-p)),
 
-    and M[x,x] = (1-p)/(nu-p) - 1 + V(x).  ``potential`` may be ``None``,
-    a dict {site: value}, a :class:`~hierspec.schrodinger.Potential`, or
-    a full diagonal array.
+    and M[x,x] = (1-p)/(nu-p) - 1 + V(x), with V the length-n array
+    ``diagonal`` (``None`` for V = 0).  The volume may hold at most
+    ``DENSE_CAP_DEFAULT`` sites.
 
     d(x,y) <= r on the diagonal blocks of the rank-r cubes, so M is filled
     block by block for r = N..1: one n x n array, n**2 * 8 bytes.
     """
-    grid.require_dense(cap)
     nu, p, N, n = grid.params.nu, grid.params.p, grid.depth, grid.n_sites
+    if n > DENSE_CAP_DEFAULT:
+        raise DomainError(
+            f"dense path needs nu**depth <= {DENSE_CAP_DEFAULT}, got {n}")
+    if diagonal is not None and np.shape(diagonal) != (n,):
+        raise DomainError("potential diagonal has wrong length")
     r = np.arange(N + 1, dtype=float)
     with np.errstate(over="ignore"):
         table = (1.0 - p) * p ** (r - 1.0) / (np.float64(nu) ** (r - 1.0) * (nu - p))
@@ -185,29 +182,9 @@ def assemble_dense(grid: VolumeGrid, potential=None,
         for start in range(0, n, block):
             m[start:start + block, start:start + block] = table[rank]
     np.fill_diagonal(m, (1.0 - p) / (nu - p) - 1.0)
-    diag = potential_diagonal(grid, potential)
-    if diag is not None:
-        m[np.diag_indices_from(m)] += diag
+    if diagonal is not None:
+        m[np.diag_indices_from(m)] += diagonal
     return m
-
-
-def potential_diagonal(grid: VolumeGrid, potential) -> Optional[np.ndarray]:
-    """Normalize a potential argument to a diagonal array (or None)."""
-    if potential is None:
-        return None
-    if hasattr(potential, "support"):  # Potential dataclass
-        potential = potential.support
-    if isinstance(potential, dict):
-        diag = np.zeros(grid.n_sites)
-        for site, value in potential.items():
-            if not 0 <= site < grid.n_sites:
-                raise DomainError(f"potential site {site} outside the volume")
-            diag[site] = value
-        return diag
-    arr = np.asarray(potential, dtype=float)
-    if arr.shape != (grid.n_sites,):
-        raise DomainError("potential diagonal has wrong length")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +309,8 @@ class SpectrumSummary:
     """Sorted (eigenvalue, multiplicity) pairs with provenance.
 
     ``entries`` are strictly decreasing in eigenvalue; multiplicities
-    sum to the volume size.  ``provenance`` is one of ``closed-form``,
-    ``dense``, ``haar``, ``iterative``.
+    sum to the volume size.  ``provenance`` is ``closed-form``
+    (:func:`dirichlet_spectrum`) or ``dense`` (:func:`dense_spectrum`).
     """
 
     entries: tuple
@@ -369,37 +346,24 @@ def dirichlet_spectrum(grid: VolumeGrid) -> SpectrumSummary:
     return SpectrumSummary(entries=tuple(entries), provenance="closed-form")
 
 
-def group_eigenvalues(values, provenance: str,
-                      tol: float = 1e-8) -> SpectrumSummary:
-    """Cluster near-equal eigenvalues into (value, multiplicity) entries."""
-    vals = np.sort(np.asarray(values, dtype=float))[::-1]
+def dense_spectrum(grid: VolumeGrid) -> SpectrumSummary:
+    """Spectrum of -L by dense symmetric eigendecomposition (volume
+    within the dense cap), eigenvalues within 1e-8 grouped into one
+    entry at their mean.  The one n x n array, n**2 * 8 bytes, is
+    negated in place and overwritten by LAPACK."""
+    m = assemble_dense(grid)
+    np.negative(m, out=m)
+    # m is exactly symmetric, so m.T is m in Fortran order: no f2py copy
+    vals = scipy.linalg.eigvalsh(m.T, overwrite_a=True)[::-1]
     entries = []
     i = 0
     while i < len(vals):
         j = i
-        while j + 1 < len(vals) and vals[i] - vals[j + 1] <= tol:
+        while j + 1 < len(vals) and vals[i] - vals[j + 1] <= 1e-8:
             j += 1
         entries.append((float(np.mean(vals[i:j + 1])), j - i + 1))
         i = j + 1
-    return SpectrumSummary(entries=tuple(entries), provenance=provenance)
-
-
-def dense_spectrum(grid: VolumeGrid, potential=None) -> SpectrumSummary:
-    """Spectrum of -(L + V) by dense symmetric eigendecomposition
-    (volume within the dense cap; eigenvalues within 1e-8 grouped).
-    The one n x n array, n**2 * 8 bytes, is negated in place and
-    overwritten by LAPACK."""
-    m = assemble_dense(grid, potential)
-    np.negative(m, out=m)
-    # m is exactly symmetric, so m.T is m in Fortran order: no f2py copy
-    vals = scipy.linalg.eigvalsh(m.T, overwrite_a=True)
-    return group_eigenvalues(vals, "dense")
-
-
-def haar_spectrum(grid: VolumeGrid) -> SpectrumSummary:
-    """Spectrum of -L read off the hierarchical eigenbasis."""
-    basis = HaarBasis(grid)
-    return group_eigenvalues(-basis.eigenvalues, "haar", tol=0.0)
+    return SpectrumSummary(entries=tuple(entries), provenance="dense")
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,8 @@ def sample_walk(params: LatticeParams, x0: Site, horizon: float,
     """
     if x0 < 0 or horizon < 0:
         raise DomainError("x0 and horizon must be nonnegative")
+    if not math.isfinite(horizon):  # the walk would never pass it
+        raise DomainError(f"horizon must be finite, got {horizon}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     times, sites, ranks = _one_walk(params, x0, horizon, rng)
     return WalkTrajectory(params=params, horizon=horizon, seed=seed,
@@ -217,6 +219,8 @@ def sample_end_sites(params: LatticeParams, x0: Site, horizon: float,
     """
     if x0 < 0 or horizon < 0 or n_samples < 0:
         raise DomainError("x0, horizon and n_samples must be nonnegative")
+    if not math.isfinite(horizon):
+        raise DomainError(f"horizon must be finite, got {horizon}")
     nu = params.nu
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = rng.poisson(horizon, n_samples)

@@ -11,19 +11,23 @@ The volume Green function G_tau = (tau - L)^(-1) depends only on the
 distance of its two sites; :meth:`HaarBasis.green_by_distance` gives
 the table G_tau(d), d = 0..N, from one solve.  The Birman-Schwinger
 count, the rank-one threshold 1/G_0(0) and the secular equation
-c G_lam(0) = 1 all read it.  Two solver paths:
+c G_lam(0) = 1 all read it.  :meth:`Potential.diagonal` is the one
+place where a potential becomes the volume diagonal of L + V, behind
+the one check that its sites lie in the volume.  Two solver paths:
 
 * dense (volume within the cap): full symmetric eigendecomposition;
 * iterative (large volumes): the count above the threshold is first
   obtained *exactly* from the Birman-Schwinger reduction -- for V >= 0
-  and tau above sup Sp(L), the number of eigenvalues of L + V above
-  tau equals the number of eigenvalues > 1 of the s x s matrix
-  K_tau = V^(1/2) G_tau V^(1/2) on the s support sites of V -- and
-  Lanczos with full reorthogonalization then computes exactly that
-  many eigenpairs.
+  and tau = ``POSITIVITY_THRESHOLD`` above sup Sp(L), the number of
+  eigenvalues of L + V above tau equals the number of eigenvalues > 1
+  of the s x s matrix K_tau = V^(1/2) G_tau V^(1/2) on the s support
+  sites of V -- and Lanczos with full reorthogonalization then
+  computes exactly that many eigenpairs.
 """
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,7 @@ import scipy.linalg
 from .errors import DomainError
 from .hierops import (DENSE_CAP_DEFAULT, HaarBasis, VolumeGrid,
                       apply_laplacian, assemble_dense, hier_distance_matrix,
-                      lanczos_extreme, potential_diagonal)
+                      lanczos_extreme)
 from .lattice import LatticeParams, Site, cube_of, cube_sites, hier_distance, \
     rho_of_distance
 
@@ -43,9 +47,9 @@ POSITIVITY_THRESHOLD = 1e-12
 class Potential:
     """Nonnegative potential with finite support.
 
-    ``support`` maps site -> value (values >= 0); ``origin`` is the
-    reference site for distance-weighted families and the annihilation
-    point of the general counting bounds.
+    ``support`` maps site -> value (finite values >= 0); ``origin`` is
+    the reference site for distance-weighted families and the
+    annihilation point of the general counting bounds.
     """
 
     support: dict
@@ -53,16 +57,26 @@ class Potential:
 
     def __post_init__(self):
         for site, value in self.support.items():
-            if site < 0:
-                raise DomainError("potential sites must be nonnegative ints")
-            if value < 0:
-                raise DomainError(f"potential must be >= 0, got V({site})={value}")
+            if not isinstance(site, (int, np.integer)) or site < 0:
+                raise DomainError(
+                    f"potential sites must be nonnegative ints, got {site!r}")
+            if not 0 <= value < math.inf:
+                raise DomainError(f"potential must be finite and >= 0, got "
+                                  f"V({site})={value}")
 
     def value(self, site: Site) -> float:
         return self.support.get(site, 0.0)
 
     def max_value(self) -> float:
         return max(self.support.values(), default=0.0)
+
+    def diagonal(self, grid: VolumeGrid) -> np.ndarray:
+        """V as the length-n diagonal on the volume; every support site
+        must lie in it."""
+        _support_inside(grid, self)
+        diag = np.zeros(grid.n_sites)
+        diag[list(self.support)] = list(self.support.values())
+        return diag
 
     def scaled(self, factor: float) -> "Potential":
         if factor < 0:
@@ -71,10 +85,9 @@ class Potential:
                          origin=self.origin)
 
 
-def delta_potential(site: Site, value: float, origin: Site = None) -> Potential:
-    """Single-site potential value * delta_site."""
-    return Potential({site: value},
-                     origin=site if origin is None else origin)
+def delta_potential(site: Site, value: float) -> Potential:
+    """Single-site potential value * delta_site, with origin at the site."""
+    return Potential({site: value}, origin=site)
 
 
 def powerlaw_potential(params: LatticeParams, x0: Site, theta: float,
@@ -97,12 +110,12 @@ def potential_to_json(potential: Potential) -> str:
 
 
 def potential_from_json(text: str) -> Potential:
-    """Parse the JSON potential format; values may be numbers or exact
-    decimal strings."""
+    """Parse the JSON potential format; sites are JSON integers, values
+    may be numbers or exact decimal strings."""
     try:
         data = json.loads(text)
-        support = {int(s): float(v) for s, v in data["sites"]}
-        origin = int(data.get("origin", 0))
+        support = {operator.index(s): float(v) for s, v in data["sites"]}
+        origin = operator.index(data.get("origin", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed potential JSON: {exc}") from exc
     return Potential(support, origin=origin)
@@ -119,7 +132,6 @@ class EigenReport:
 
     eigenvalues: np.ndarray
     method: str
-    depth: int
     residual_norms: np.ndarray | None = None
 
     @property
@@ -141,9 +153,9 @@ def _support_inside(grid: VolumeGrid, potential: Potential):
                 f"potential site {site} outside the depth-{grid.depth} volume")
 
 
-def count_above_threshold(grid: VolumeGrid, potential: Potential,
-                          tau: float = POSITIVITY_THRESHOLD) -> int:
-    """Exact number of eigenvalues of L + V above tau (tau > sup Sp(L)).
+def count_above_threshold(grid: VolumeGrid, potential: Potential) -> int:
+    """Exact number of eigenvalues of L + V above tau =
+    ``POSITIVITY_THRESHOLD`` (> 0 > sup Sp(L)).
 
     Birman-Schwinger reduction: the count becomes the number of
     eigenvalues > 1 of K_tau = V^(1/2) G_tau V^(1/2) on the s support
@@ -151,12 +163,10 @@ def count_above_threshold(grid: VolumeGrid, potential: Potential,
     one fast volume solve and an s x s eigenvalue problem.
     """
     _support_inside(grid, potential)
-    if tau <= -grid.bottom_eigenvalue():
-        raise DomainError("threshold must exceed sup Sp(L)")
     sites = sorted(s for s, v in potential.support.items() if v > 0)
     if not sites:
         return 0
-    green = HaarBasis(grid).green_by_distance(tau)[
+    green = HaarBasis(grid).green_by_distance(POSITIVITY_THRESHOLD)[
         hier_distance_matrix(grid, sites)]
     sqrt_v = np.sqrt([potential.support[s] for s in sites])
     bs_matrix = sqrt_v[:, None] * green * sqrt_v[None, :]
@@ -172,25 +182,23 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
     ``method``: "dense" | "iterative" | "auto" (dense up to
     ``DENSE_CAP_DEFAULT`` sites).
     The iterative path certifies completeness against the exact
-    Birman-Schwinger count before returning.
+    Birman-Schwinger count before returning.  Every support site of V
+    must lie in the volume.
     """
-    _support_inside(grid, potential)
     if method == "auto":
         method = "dense" if grid.n_sites <= DENSE_CAP_DEFAULT else "iterative"
     if method == "dense":
-        m = assemble_dense(grid, potential)
+        m = assemble_dense(grid, potential.diagonal(grid))
         # m.T is m in Fortran order, so LAPACK overwrites it with no copy
         vals = scipy.linalg.eigvalsh(m.T, overwrite_a=True)[::-1]
         pos = vals[vals > POSITIVITY_THRESHOLD]
-        return EigenReport(eigenvalues=np.asarray(pos), method="dense",
-                           depth=grid.depth)
+        return EigenReport(eigenvalues=np.asarray(pos), method="dense")
     if method != "iterative":
         raise DomainError(f"unknown method {method!r}")
     n_expected = count_above_threshold(grid, potential)
     if n_expected == 0:
-        return EigenReport(eigenvalues=np.array([]), method="iterative",
-                           depth=grid.depth)
-    diag = potential_diagonal(grid, potential)
+        return EigenReport(eigenvalues=np.array([]), method="iterative")
+    diag = potential.diagonal(grid)
 
     def matvec(v):
         return apply_laplacian(v, grid, mode="fast") + diag * v
@@ -203,7 +211,7 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
         raise DomainError(
             f"Lanczos found {len(pos)} positive eigenvalues but the "
             f"Birman-Schwinger count certifies {n_expected}")
-    return EigenReport(eigenvalues=pos, method="iterative", depth=grid.depth,
+    return EigenReport(eigenvalues=pos, method="iterative",
                        residual_norms=resid)
 
 

@@ -155,10 +155,11 @@ class TestP1:
         assert ann.p1_diag(pa, t, r) == pytest.approx(float(exact),
                                                       abs=1e-14, rel=1e-12)
 
-    def test_certification_failure(self):
-        # the rounding allowance alone exceeds tol = 1e-20
+    def test_certification_failure(self, monkeypatch):
+        # the rounding allowance alone exceeds a tolerance of 1e-20
+        monkeypatch.setattr(ann, "_TOL", 1e-20)
         with pytest.raises(CertificationError):
-            ann.p1_diag(PA_2_QUARTER, 2.0, 1, tol=1e-20)
+            ann.p1_diag(PA_2_QUARTER, 2.0, 1)
 
     def test_dominated_by_free_kernel(self):
         for t in (0.5, 2.0, 50.0):

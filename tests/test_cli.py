@@ -18,7 +18,10 @@ RUN = [sys.executable, "-m", "hierspec.cli"]
 
 
 def run_cli(args, tmp_path=None):
-    return subprocess.run(RUN + args, capture_output=True, text=True)
+    # a hanging command fails its test instead of stalling the suite;
+    # 120 s leaves room for selftest
+    return subprocess.run(RUN + args, capture_output=True, text=True,
+                          timeout=120)
 
 
 def parse_csv(text):
@@ -154,6 +157,18 @@ class TestExitCodes:
         ["annihilated", "--mode", "p1", "--r", "1"],
         ["annihilated", "--mode", "resolvent", "--r", "1"],
         ["zeta", "--mode", "theta"],
+        ["walk", "--horizon", "nan"],
+        ["walk", "--horizon", "inf"],
+        ["schrodinger", "--depth", "4", "--delta", "nan@0"],
+        ["schrodinger", "--depth", "4", "--powerlaw", "inf,2,2"],
+        ["ids", "--lam", "nan"],
+        ["annihilated", "--mode", "p1", "--r", "1", "--t", "nan,2"],
+        ["bounds", "--depth", "4", "--radius", "2", "--thetas", "0.8",
+         "--sigma", "nan"],
+        ["heat", "--t", "nan"],
+        ["heat", "--t", "1:inf:3"],
+        ["resolvent", "--lam", "inf"],
+        ["zeta", "--mode", "zeta", "--z-re", "nan"],
     ])
     def test_malformed_input_is_a_domain_error(self, args):
         out = run_cli([args[0], "--nu", "2", "--p", "0.5"] + args[1:])
@@ -182,6 +197,27 @@ class TestSchrodingerCommand:
     def test_requires_one_potential_source(self):
         out = run_cli(["schrodinger", "--nu", "2", "--p", "0.5", "--depth", "4"])
         assert out.returncode == 1
+
+    @pytest.mark.parametrize("sites", ['[[1.5, 2.0]]', '[[1, "NaN"]]'])
+    def test_potential_file_needs_integer_sites_and_finite_values(
+            self, tmp_path, sites):
+        pot = tmp_path / "v.json"
+        pot.write_text('{"sites": %s, "origin": 0}' % sites)
+        out = run_cli(["schrodinger", "--nu", "2", "--p", "0.5", "--depth",
+                       "4", "--potential", str(pot)])
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["schrodinger", "--depth", "4", "--powerlaw", "1,2,5"],
+        ["bounds", "--depth", "4", "--radius", "5"],
+    ])
+    def test_radius_beyond_depth_refused(self, args):
+        out = run_cli([args[0], "--nu", "2", "--p", "0.5"] + args[1:])
+        assert out.returncode == 1
+        assert "radius" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestBoundsCommand:

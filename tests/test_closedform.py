@@ -97,7 +97,7 @@ class TestHeatKernel:
             mass += sum(nu ** (r - 1) * (nu - 1)
                         * cf.heat_kernel(pa, t, r, tol=1e-15 / nu**r)
                         for r in range(1, rank + 1))
-            assert mass + cf.heat_exterior_mass(pa, t, rank, tol=1e-15) == \
+            assert mass + cf.heat_exterior_mass(pa, t, rank) == \
                 pytest.approx(1.0, abs=1e-12)
 
     def test_semigroup_identity(self):

@@ -15,7 +15,7 @@ import scipy.linalg
 from hierspec.errors import DomainError
 from hierspec.hierops import (HaarBasis, SpectrumSummary, VolumeGrid,
                               apply_laplacian, assemble_dense, dense_spectrum,
-                              dirichlet_spectrum, expm_action, haar_spectrum,
+                              dirichlet_spectrum, expm_action,
                               hier_distance_matrix, lanczos_extreme)
 from hierspec.lattice import LatticeParams, cube_of, cube_sites, hier_distance
 
@@ -100,10 +100,15 @@ class TestDense:
     def test_potential_on_diagonal(self):
         g = grid_of(2, 0.5, 3)
         m0 = assemble_dense(g)
-        m1 = assemble_dense(g, {2: 1.5})
+        m1 = assemble_dense(g, np.eye(g.n_sites)[2] * 1.5)
         diff = m1 - m0
         assert diff[2, 2] == 1.5
         assert np.count_nonzero(diff) == 1
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_diagonal_of_wrong_length_rejected(self, length):
+        with pytest.raises(DomainError):
+            assemble_dense(grid_of(2, 0.5, 3), np.ones(length))
 
     @pytest.mark.parametrize("nu,p,depth", [(2, 0.5, 6), (3, 0.3, 4),
                                             (4, 0.5, 3), (2, 0.97, 5)])
@@ -149,6 +154,13 @@ class TestDense:
     def test_cap_enforced(self):
         with pytest.raises(DomainError):
             assemble_dense(grid_of(2, 0.5, 13))
+
+    def test_cap_read_at_call_time(self, monkeypatch):
+        import hierspec.hierops as hierops
+        monkeypatch.setattr(hierops, "DENSE_CAP_DEFAULT", 8)
+        assert assemble_dense(grid_of(2, 0.5, 3)).shape == (8, 8)
+        with pytest.raises(DomainError):
+            assemble_dense(grid_of(2, 0.5, 4))
 
     def test_nonpositive_and_symmetric_form(self):
         g = grid_of(3, 0.6, 4)
@@ -269,7 +281,7 @@ class TestSpectra:
         g = grid_of(3, 0.3, 4)
         closed = np.sort(dirichlet_spectrum(g).expand())
         dense = np.sort(dense_spectrum(g).expand())
-        haar = np.sort(haar_spectrum(g).expand())
+        haar = np.sort(-HaarBasis(g).eigenvalues)
         assert dense == pytest.approx(closed, abs=1e-10)
         assert haar == pytest.approx(closed, abs=1e-12)
 

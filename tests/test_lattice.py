@@ -207,6 +207,15 @@ class TestWalk:
         with pytest.raises(DomainError):
             sample_walk(LatticeParams(2, 0.5), 0, -1.0, seed=0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # the walk would never pass the horizon
+        pa = LatticeParams(2, 0.5)
+        with pytest.raises(DomainError, match="finite"):
+            sample_walk(pa, 0, horizon, seed=0)
+        with pytest.raises(DomainError, match="finite"):
+            sample_end_sites(pa, 0, horizon, 10, seed=0)
+
     @pytest.mark.parametrize("x0", [-3, -1])
     def test_negative_start_rejected(self, x0):
         pa = LatticeParams(2, 0.5)

@@ -28,6 +28,23 @@ class TestPotential:
         with pytest.raises(DomainError):
             Potential({0: -1.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(DomainError):
+            Potential({0: value})
+
+    @pytest.mark.parametrize("site", [1.5, 1.0, "1"])
+    def test_rejects_non_integer_sites(self, site):
+        with pytest.raises(DomainError):
+            Potential({site: 1.0})
+
+    def test_diagonal(self):
+        g = VolumeGrid(PA_2_HALF, 3)
+        diag = Potential({2: 1.5, 7: 0.25}).diagonal(g)
+        assert diag.tolist() == [0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.25]
+        with pytest.raises(DomainError):
+            Potential({8: 1.0}).diagonal(g)
+
     def test_powerlaw_values(self):
         v = powerlaw_potential(PA_2_QUARTER, 0, 2.0, 2.0, 3)
         assert v.value(0) == 2.0
@@ -52,6 +69,18 @@ class TestPotential:
             potential_from_json('{"sites": [["a", "b", "c"]]}')
         with pytest.raises(DomainError):
             potential_from_json('{')
+
+    @pytest.mark.parametrize("text", [
+        '{"sites": [[1.5, 2.0]]}',
+        '{"sites": [[1.0, 2.0]]}',
+        '{"sites": [[1, 2.0]], "origin": 0.5}',
+        '{"sites": [[1, "NaN"]]}',
+        '{"sites": [[1, NaN]]}',
+        '{"sites": [[1, "inf"]]}',
+    ])
+    def test_json_rejects_non_integer_sites_and_non_finite_values(self, text):
+        with pytest.raises(DomainError):
+            potential_from_json(text)
 
 
 class TestPositiveSpectrum:
@@ -118,7 +147,7 @@ class TestPositiveSpectrum:
     def test_eigenvalue_window(self):
         g = VolumeGrid(PA_2_HALF, 6)
         v = powerlaw_potential(PA_2_HALF, 0, 4.0, 2.0, 3)
-        m = assemble_dense(g, v)
+        m = assemble_dense(g, v.diagonal(g))
         vals = np.linalg.eigvalsh(m)
         assert vals.min() >= -1.0 - 1e-12
         assert vals.max() <= v.max_value() + 1e-12
@@ -132,6 +161,18 @@ class TestPositiveSpectrum:
     def test_support_outside_volume_rejected(self):
         with pytest.raises(DomainError):
             positive_spectrum(VolumeGrid(PA_2_HALF, 3), delta_potential(100, 1.0))
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_first_site_past_the_volume_rejected(self, method):
+        # site n = 2**8 is the first one outside; n - 1 is inside
+        g = VolumeGrid(PA_2_HALF, 8)
+        inside = Potential({0: 3.0, g.n_sites - 1: 1.0})
+        outside = Potential({0: 3.0, g.n_sites: 1.0})
+        assert positive_spectrum(g, inside, method=method).count >= 1
+        with pytest.raises(DomainError, match="outside"):
+            positive_spectrum(g, outside, method=method)
+        with pytest.raises(DomainError, match="outside"):
+            count_above_threshold(g, outside)
 
     def test_dense_branch_holds_one_matrix(self):
         g = VolumeGrid(PA_2_QUARTER, 10)
