@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import (CertificationError, DivergentIntegralError, DomainError,
                      SpectrumProximityError)
-from .closedform import (SECTOR_ANGLE, _atom, _last_index, _scaled_upper_gamma,
-                         _sum_atoms, resolvent, resolvent_zero)
+from .closedform import (SECTOR_ANGLE, _atom, _last_index, _moment, _sum_atoms,
+                         resolvent, resolvent_zero)
 from .hierops import VolumeGrid, apply_laplacian, expm_action
 from .lattice import LatticeParams
 
@@ -241,18 +241,22 @@ def _measure_integral(params: LatticeParams, T: float, gamma: float, r: int,
     T**(1-gamma) tail/(gamma-1) for gamma > 1.  For gamma = 0 their part is
     taken at T = 0, the missing mass R1(0) - sum c/mu, error <= T tail.
     """
+    if T < 0:
+        raise DomainError("lower limit must be nonnegative")
+    if T == 0.0 and gamma >= 1.0:
+        raise DivergentIntegralError(
+            "t**(-gamma) p1 is not integrable at t=0 for gamma >= 1")
     deep = 1e-16 ** (1.0 / gamma) if 0.0 < gamma < 1.0 else 1.0
     mu, c, tail = _measure(params, r, min(1e-40, max(deep, 1e-300)))
     full = annihilated_resolvent_zero(params, r)
     missing = full - float(np.sum(c / mu))
     tail_mu = abs(missing) + _ROUNDING * full
     a = 1.0 - gamma
+    value = _moment(mu, c, c / mu if gamma == 0.0 else c * mu ** -a, T, gamma)
     if gamma == 0.0:
-        value = float(np.sum(c / mu * np.exp(-mu * T))) + missing
+        value += missing
         bound = T * tail + _ROUNDING * full
     else:
-        value = (math.gamma(a) * float(np.sum(c * mu**-a)) if T == 0.0 else
-                 T**a * float(np.sum(c * _scaled_upper_gamma(a, mu * T))))
         bound = _ROUNDING * value + (
             math.gamma(a) * tail**gamma * tail_mu**a if gamma < 1.0 else
             math.sqrt(math.pi * tail * tail_mu / T) if gamma == 1.0 else
@@ -275,8 +279,6 @@ def p1_tail_integral(params: LatticeParams, T: float, r: int) -> float:
     same (T, r) pair once per shell of equal V.
     """
     _check_r(r)
-    if T < 0:
-        raise DomainError("lower limit must be nonnegative")
     if T == 0.0:
         return annihilated_resolvent_zero(params, r)
     return _measure_integral(params, T, 0.0, r, _TOL)
@@ -295,9 +297,4 @@ def p1_weighted_tail_integral(params: LatticeParams, T: float, gamma: float,
     _check_r(r)
     if gamma <= 0:
         raise DomainError("gamma must be positive; use p1_tail_integral")
-    if T < 0:
-        raise DomainError("lower limit must be nonnegative")
-    if T == 0.0 and gamma >= 1.0:
-        raise DivergentIntegralError(
-            "t**(-gamma) p1 is not integrable at t=0 for gamma >= 1")
     return _measure_integral(params, T, gamma, r, 1e-12)

@@ -38,8 +38,6 @@ with rho = rho(x0, x):
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from scipy.special import gamma as gamma_fn
-
 from .annihilated import p1_tail_integral, p1_weighted_tail_integral
 from .closedform import green_tail_integral
 from .errors import DivergentIntegralError, DomainError
@@ -181,7 +179,7 @@ def functional(grid: VolumeGrid, potential: Potential, theorem: str,
         report.flags.append(f"divergent: {exc}")
         return report
     if form == "lt-weighted":
-        total *= 2.0 * gamma * gamma_fn(gamma)
+        total *= 2.0 * gamma * math.gamma(gamma)
     report.components["weighted_sum"] = total
     report.functional = head + total
     return report

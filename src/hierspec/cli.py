@@ -297,8 +297,15 @@ def _cmd_selftest(args):
         raise CertificationError(f"{failures} selftest check(s) failed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as DomainError (subparsers inherit the class)."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hierspec",
         description="Hierarchical-Laplacian spectral toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -397,14 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; fold into the domain-error code
-        return EXIT_DOMAIN if exc.code else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         args.handler(args)
+    except SystemExit:  # --help printed its text; errors raise DomainError
+        return EXIT_OK
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -19,11 +19,12 @@ Everything here is an explicit series over the pure-point spectrum
 * tail integrals int_T^inf t**(-gamma) p(t,x,x) dt, the weights of the
   bound-state counting functionals.
 
-Every series is summed by one evaluator, :func:`_sum_atoms`, up to the
-last index at which its geometric tail bound is below the requested
-tolerance (:class:`CertificationError` if that needs over ``_MAX_TERMS``
-terms).  Functions of t or lam also take an ndarray; an array call
-equals scalar calls element by element, bit for bit.
+Heat-kernel and resolvent series are summed by :func:`_sum_atoms`, tail
+integrals by :func:`_moment`, up to the last index at which a geometric
+tail bound is below the requested tolerance (:class:`CertificationError`
+if that needs over ``_MAX_TERMS`` terms).  Functions of t or lam also
+take an ndarray; an array call equals scalar calls element by element,
+bit for bit.
 """
 
 import cmath
@@ -411,18 +412,16 @@ def _upper_gamma_at_one(a: float) -> float:
     return _scaled_upper_gamma(a, 1.0)
 
 
-def _green_tail_term(params: LatticeParams, T: float, gamma: float):
-    """(scale, term): int_T^inf t**(-gamma) p(t,x,x) dt is scale times the
-    sum of term(s, location, weight) over atoms s, all of them finite."""
-    q = params.p ** (gamma - 1.0) / params.nu
-    coeff = 1.0 - 1.0 / params.nu
-    if gamma == 0.0:
-        return 1.0, lambda s, loc, w: coeff * q**s * np.exp(-loc * T)
+def _moment(mu, c, c_mu, T: float, gamma: float) -> float:
+    """int_T^inf t**-gamma sum c e**(-mu t) dt for atoms mu of weight c,
+    either walk's; the caller gives c_mu = c mu**(gamma-1), finite where
+    mu underflows, and T = 0 only for gamma < 1."""
     a = 1.0 - gamma
-    if a > 0:  # Gamma(a, x) <= Gamma(a), and p**s may underflow before q**s
-        return math.gamma(a), lambda s, loc, w: coeff * q**s * gammaincc(
-            a, loc * T)
-    return T**a, lambda s, loc, w: w * _scaled_upper_gamma(a, loc * T)
+    if a <= 0:
+        return T**a * float(np.sum(c * _scaled_upper_gamma(a, mu * T)))
+    if gamma == 0.0:
+        return float(np.sum(c_mu * np.exp(-mu * T)))
+    return math.gamma(a) * float(np.sum(c_mu * gammaincc(a, mu * T)))
 
 
 def green_tail_divergent(params: LatticeParams, gamma: float) -> bool:
@@ -443,10 +442,9 @@ def green_tail_integral(params: LatticeParams, T: float,
         (1-1/nu) sum_s exp(-p**s T) / (p nu)**s
 
     (equal to the Green function R_0(x,x) at T=0).  gamma > 0 requires
-    gamma + s_h/2 > 1 and uses upper incomplete gamma functions per
-    term (T**(1-gamma) times the bounded :func:`_scaled_upper_gamma` for
-    gamma >= 1); T = 0 also needs gamma < 1.  Divergent combinations
-    raise :class:`DivergentIntegralError`.
+    gamma + s_h/2 > 1, and T = 0 also gamma < 1; the terms are those of
+    :func:`_moment`.  Divergent combinations raise
+    :class:`DivergentIntegralError`.
     """
     if T < 0:
         raise DomainError("lower limit must be nonnegative")
@@ -461,22 +459,16 @@ def green_tail_integral(params: LatticeParams, T: float,
     if T == 0.0 and gamma >= 1.0:
         raise DivergentIntegralError(
             "t**(-gamma) p(t,x,x) is not integrable at t=0 for gamma >= 1")
-    scale, term = _green_tail_term(params, T, gamma)
-    if gamma == 0.0:
-        # term s is at most coeff (p nu)**-s
-        pnu = p * nu
-        last = _last_index(0, coeff / (1.0 - 1.0 / pnu), 1.0 / pnu, tol)
-        return float(_sum_atoms(params, term, 0, last))
     a = 1.0 - gamma
     q = p ** (gamma - 1.0) / nu
-    if T == 0.0:
+    if T == 0.0 and gamma > 0.0:
         # every term is Gamma(1-gamma) p**(s(gamma-1)) nu**(-s): pure geometric
         return coeff * math.gamma(a) / (1.0 - q)
     # past atom `small` every x = p**s T <= 1, where Gamma(a, x) <= Gamma(a)
     # for a > 0 and Gamma(a, x) <= x**b/(-b) + 1 for b < 0, b <= a: term s
     # is at most coeff (T**b/(-b) q_b**s + q**s), q_b = p**(b-a)/nu
-    # (a = 0 takes b = -s_h/4, so q_b = nu**-1/2)
-    small = _last_index(0, T, p, 1.0)
+    # (a = 0 takes b = -s_h/4, so q_b = nu**-1/2); gamma = 0 needs no `small`
+    small = _last_index(0, T, p, 1.0) if gamma > 0.0 else 0
     if a > 0:
         last = _last_index(0, coeff * math.gamma(a) / (1.0 - q), q, tol)
     else:
@@ -485,7 +477,7 @@ def green_tail_integral(params: LatticeParams, T: float,
         last = max(_last_index(0, coeff * T**b / (-b * (1.0 - q_b)), q_b,
                                tol / 2.0),
                    _last_index(0, coeff / (1.0 - q), q, tol / 2.0))
-    return float(scale * _sum_atoms(params, term, 0, max(small, last)))
+    return green_tail_partial_sum(params, T, gamma, max(small, last) + 1)
 
 
 def green_tail_partial_sum(params: LatticeParams, T: float, gamma: float,
@@ -495,5 +487,8 @@ def green_tail_partial_sum(params: LatticeParams, T: float, gamma: float,
     Used to exhibit divergence in the recurrent regime: for
     p*nu <= 1, gamma = 0 the partial sums grow without bound.
     """
-    scale, term = _green_tail_term(params, T, gamma)
-    return float(scale * _sum_atoms(params, term, 0, n_terms - 1))
+    s = np.arange(n_terms)
+    coeff = 1.0 - 1.0 / params.nu
+    q = params.p ** (gamma - 1.0) / params.nu  # q**s stays finite past p**s
+    return _moment(params.p**s, coeff * float(params.nu) ** -s, coeff * q**s,
+                   T, gamma)

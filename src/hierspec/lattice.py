@@ -156,32 +156,24 @@ class WalkTrajectory:
         return self.sites[-1]
 
 
+#: Most jumps a sampler call may expect (horizon x walks); sample_walk
+#: takes about 1 s and 8 MB per 1e5 jumps on a 2-vCPU Xeon.
+_MAX_JUMPS = 10**7
+
+
+def _check_horizon(horizon: float, n_samples: int):
+    if not (math.isfinite(horizon) and horizon * n_samples <= _MAX_JUMPS):
+        raise DomainError(
+            f"horizon must be finite, with at most {_MAX_JUMPS:g} expected "
+            f"jumps in all; got {horizon:g} over {n_samples} walk(s)")
+
+
 def _uniform_below(rng: np.random.Generator, nu: int, k: int) -> int:
     """Uniform integer below nu**k, digit by digit: exact at any size."""
     offset = 0
     for d in rng.integers(0, nu, size=k):
         offset = offset * nu + int(d)
     return offset
-
-
-def _one_walk(params: LatticeParams, x0: Site, horizon: float,
-              rng: np.random.Generator):
-    """Run a single walk; returns (times, sites, jump_ranks)."""
-    nu, p = params.nu, params.p
-    t = 0.0
-    x = int(x0)
-    times, sites, ranks = [0.0], [x], []
-    while True:
-        t += rng.exponential(1.0)
-        if t > horizon:
-            break
-        # jump rank is geometric on {1,2,...} with success prob 1-p
-        k = int(rng.geometric(1.0 - p))
-        x = (x // nu**k) * nu**k + _uniform_below(rng, nu, k)
-        times.append(t)
-        sites.append(x)
-        ranks.append(k)
-    return times, sites, ranks
 
 
 def sample_walk(params: LatticeParams, x0: Site, horizon: float,
@@ -191,12 +183,21 @@ def sample_walk(params: LatticeParams, x0: Site, horizon: float,
     """
     if x0 < 0 or horizon < 0:
         raise DomainError("x0 and horizon must be nonnegative")
-    if not math.isfinite(horizon):  # the walk would never pass it
-        raise DomainError(f"horizon must be finite, got {horizon}")
+    _check_horizon(horizon, 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    times, sites, ranks = _one_walk(params, x0, horizon, rng)
-    return WalkTrajectory(params=params, horizon=horizon, seed=seed,
-                          times=times, sites=sites, jump_ranks=ranks)
+    nu, t, x = params.nu, 0.0, int(x0)
+    walk = WalkTrajectory(params=params, horizon=horizon, seed=seed,
+                          times=[t], sites=[x])
+    while True:
+        t += rng.exponential(1.0)
+        if t > horizon:
+            return walk
+        # jump rank is geometric on {1,2,...} with success prob 1-p
+        k = int(rng.geometric(1.0 - params.p))
+        x = (x // nu**k) * nu**k + _uniform_below(rng, nu, k)
+        walk.times.append(t)
+        walk.sites.append(x)
+        walk.jump_ranks.append(k)
 
 
 def sample_end_sites(params: LatticeParams, x0: Site, horizon: float,
@@ -219,8 +220,7 @@ def sample_end_sites(params: LatticeParams, x0: Site, horizon: float,
     """
     if x0 < 0 or horizon < 0 or n_samples < 0:
         raise DomainError("x0, horizon and n_samples must be nonnegative")
-    if not math.isfinite(horizon):
-        raise DomainError(f"horizon must be finite, got {horizon}")
+    _check_horizon(horizon, n_samples)
     nu = params.nu
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = rng.poisson(horizon, n_samples)

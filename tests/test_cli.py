@@ -169,12 +169,30 @@ class TestExitCodes:
         ["heat", "--t", "1:inf:3"],
         ["resolvent", "--lam", "inf"],
         ["zeta", "--mode", "zeta", "--z-re", "nan"],
+        ["walk", "--horizon", "1e9"],
     ])
     def test_malformed_input_is_a_domain_error(self, args):
         out = run_cli([args[0], "--nu", "2", "--p", "0.5"] + args[1:])
         assert out.returncode == 1
         assert "error:" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["walk", "--horizon", "nan"],
+        ["heat", "--t", "nan"],
+        ["heat"],
+    ])
+    def test_usage_error_is_one_line(self, args):
+        # argparse faults and domain faults print the same shape
+        out = run_cli([args[0], "--nu", "2", "--p", "0.5"] + args[1:])
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:")
+        assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
+
+    def test_help_exits_zero(self):
+        out = run_cli(["walk", "--help"])
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: hierspec walk")
 
 
 class TestSchrodingerCommand:

@@ -427,6 +427,31 @@ class TestGreenTail:
             assert cf.green_tail_integral(pa, 0.7, gamma) == pytest.approx(
                 float(exact), abs=1e-12)
 
+    @pytest.mark.parametrize("T", [0.3, 2.0, 50.0])
+    def test_next_to_divergence_where_atoms_underflow(self, T):
+        # gamma = 0.52 at (2, 1/4): q = p**(gamma-1)/nu = 2**-0.04, so the
+        # certified sum runs to s = 1123, and p**s is 0.0 from s = 538 on.
+        # Oracle: the terms q**s Gamma(a, p**s T) in mpmath while
+        # p**s T >= 1e-20, the rest from Gamma(a, x) = Gamma(a) - x**a/a
+        # + O(x**(a+1)) in closed form (q p**a = 1/nu)
+        import mpmath
+        gamma, bound = 0.52, 1e-12
+        with mpmath.workdps(30):
+            nu, p = mpmath.mpf(PA_2_QUARTER.nu), mpmath.mpf(PA_2_QUARTER.p)
+            a = 1 - mpmath.mpf(gamma)
+            q = p ** (gamma - 1) / nu
+            total, s = mpmath.mpf(0), 0
+            while p**s * T >= mpmath.mpf("1e-20"):
+                total += q**s * mpmath.gammainc(a, p**s * T, mpmath.inf)
+                s += 1
+            total += (mpmath.gamma(a) * q**s / (1 - q)
+                      - T**a / a * nu**-s / (1 - 1 / nu))
+            exact = float((1 - 1 / nu) * total)
+        value = cf.green_tail_integral(PA_2_QUARTER, T, gamma)
+        assert abs(value - exact) <= bound + 1e-14 * exact
+        partial = cf.green_tail_partial_sum(PA_2_QUARTER, T, gamma, 1200)
+        assert abs(partial - value) <= bound + 1e-14 * exact
+
     def test_divergence_signals(self):
         with pytest.raises(DivergentIntegralError):
             cf.green_tail_integral(PA_2_QUARTER, 1.0, 0.0)  # p*nu < 1

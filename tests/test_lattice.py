@@ -216,6 +216,19 @@ class TestWalk:
         with pytest.raises(DomainError, match="finite"):
             sample_end_sites(pa, 0, horizon, 10, seed=0)
 
+    def test_expected_jumps_capped(self):
+        # refused before any draw: at 1e9 x 10 walks sample_end_sites would
+        # otherwise allocate 1e10 int64 ranks
+        pa = LatticeParams(2, 0.5)
+        with pytest.raises(DomainError,
+                           match=r"1e\+07 expected.*1e\+09 over 1 walk"):
+            sample_walk(pa, 0, 1e9, seed=0)
+        with pytest.raises(DomainError, match=r"1e\+09 over 10 walk"):
+            sample_end_sites(pa, 0, 1e9, 10, seed=0)
+        with pytest.raises(DomainError, match=r"1e\+07"):
+            sample_end_sites(pa, 0, 1001.0, 10**4, seed=0)
+        assert len(sample_end_sites(pa, 0, 1e9, 0, seed=0)[0]) == 0
+
     @pytest.mark.parametrize("x0", [-3, -1])
     def test_negative_start_rejected(self, x0):
         pa = LatticeParams(2, 0.5)
