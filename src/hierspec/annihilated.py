@@ -169,8 +169,8 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     per step, so sum_{j >= J} c_j <= b_J nu/(nu-1).  A root is solved for
     y = mu_j - p**(j+1) (atom j+1 then gives -y exactly; y/mu_j falls like
     (p nu)**-j when transient) by bisecting all gaps at once, geometrically
-    while a bracket spans a factor 4.  Atoms past j+1+K add < 2**-60 of
-    atom j+1's share at the end of the gap.
+    while a bracket spans a factor 4, with one array pass per step.  Atoms
+    past j+1+K add < 2**-60 of atom j+1's share at the end of the gap.
     """
     nu, p = params.nu, params.p
     coeff = 1.0 - 1.0 / nu

@@ -19,18 +19,18 @@ Everything here is an explicit series over the pure-point spectrum
 * tail integrals int_T^inf t**(-gamma) p(t,x,x) dt, the weights of the
   bound-state counting functionals.
 
-Heat-kernel and resolvent series are summed by :func:`_sum_atoms`, tail
-integrals by :func:`_moment`, up to the last index at which a geometric
-tail bound is below the requested tolerance (:class:`CertificationError`
-if that needs over ``_MAX_TERMS`` terms).  Functions of t or lam also
-take an ndarray; an array call equals scalar calls element by element,
-bit for bit.
+Heat-kernel and resolvent series are summed by :func:`_sum_atoms` (all
+atoms in one array pass), tail integrals by :func:`_moment`, up to the
+last index at which a geometric tail bound is below the requested
+tolerance (:class:`CertificationError` past ``_MAX_TERMS`` terms).
+Functions of t or lam also take an ndarray; an array call equals scalar
+calls element by element, bit for bit: both add the atoms by one running
+sum in order of s.
 """
 
 import cmath
 import math
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import gammaincc
@@ -48,14 +48,10 @@ def _atom(params: LatticeParams, s: int) -> tuple[float, float]:
     return params.p**s, (1.0 - 1.0 / params.nu) * float(params.nu) ** -s
 
 
-_TABLE_ATOMS = 1024
-
-
 @lru_cache(maxsize=16)
-def _atom_table(params: LatticeParams) -> tuple:
-    """Atoms s < _TABLE_ATOMS, cached per lattice: reading them halves the
-    cost of a scalar resolvent against computing them term by term."""
-    return tuple(_atom(params, s) for s in range(_TABLE_ATOMS))
+def _atom_table(params: LatticeParams, count: int = 1024) -> np.ndarray:
+    """Rows (p**s, weight) of the atoms s < count, cached per lattice."""
+    return np.array([_atom(params, s) for s in range(count)])
 
 
 def _points(x):
@@ -95,20 +91,23 @@ def _last_index(first, scale, ratio, tol):
 def _sum_atoms(params: LatticeParams, term, first: int, last, total=0.0):
     """total + sum over atoms s = first..last of term(s, location, weight).
 
-    The only loop over atoms in this module.  Terms are added in order
-    of s.  ``last`` is an int, or an int array giving each element its
-    own last index; past it the element only gets exact zeros, so an
-    array call gives, element by element, the bits of scalar calls.
+    ``last`` is an int, or an int array giving each point its own last
+    index; ``last`` or ``total`` has the points' shape.  Terms come in
+    (atoms, points) blocks of at most 2**13 elements (or one atom), zero
+    past a point's last index, and a running sum adds them in order of s:
+    an array call gives the bits of scalar calls, point by point.
     """
-    if isinstance(last, np.ndarray):
-        top = int(last.max(initial=first - 1))
-    else:
-        last = top = int(last)
-    atoms = chain(_atom_table(params)[first:top + 1],
-                  (_atom(params, s) for s in range(max(first, _TABLE_ATOMS),
-                                                   top + 1)))
-    for s, (loc, w) in zip(range(first, top + 1), atoms):
-        total = total + term(s, loc, w) * (s <= last)
+    points = np.broadcast(last, total)
+    top = int(last.max(initial=first - 1) if np.ndim(last) else last)
+    atoms = _atom_table(params, 1 << max(10, top.bit_length()))[first:top + 1]
+    s, loc, w = (v.reshape((-1,) + (1,) * points.ndim)
+                 for v in (np.arange(first, top + 1), *atoms.T))
+    rows = max(1, 2**13 // max(1, points.size))
+    for b in (slice(i, i + rows) for i in range(0, len(atoms), rows)):
+        terms = term(s[b], loc[b], w[b]) * (s[b] <= last)
+        terms[0] += total  # accumulate strides across rows: short rows only
+        total = (np.add.accumulate(terms)[-1] if rows > points.size
+                 else reduce(np.add, terms))
     return total
 
 
@@ -217,7 +216,8 @@ def heat_exterior_mass(params: LatticeParams, t, volume_rank: int):
     # the terms past atom S weigh nu**R nu**-(S+1) at most
     last = _last_index(volume_rank + 1, float(nu) ** volume_rank, 1.0 / nu,
                        1e-14)
-    rest = _sum_atoms(params, _heat_term(t), volume_rank + 1, last)
+    rest = _sum_atoms(params, _heat_term(t), volume_rank + 1, last,
+                      np.zeros(np.shape(t)))
     value = (1.0 - (1.0 - 1.0 / nu) * np.exp(-(p**volume_rank) * t)
              - nu**volume_rank * rest)
     return _result(np.clip(value, 0.0, 1.0))
@@ -372,19 +372,20 @@ def zeta_poles(params: LatticeParams, count: int) -> list[complex]:
 # heat-kernel tail integrals
 
 
-def _scaled_upper_gamma(a: float, x):
+def _scaled_upper_gamma(a: float, x, log_x=None):
     """g = x**-a Gamma(a, x), a < 1, x > 0 (or an array), to ~1e-13: an atom
     mu adds T**(1-gamma) g(1-gamma, mu T) to int_T^inf t**-gamma e**-mu t dt
     and g <= 1/(-a) for a < 0.  gammaincc for a > 0; else Legendre's
     fraction for x >= 1, or x**-a (Gamma(a, 1) + int_x^1 t**(a-1) e**-t dt)
-    termwise, which stay accurate next to a = 0, -1, ... as well."""
+    termwise, which stay accurate next to a = 0, -1, ... as well; there
+    ``log_x`` gives ln x where x = mu T underflows."""
     if a > 0:
         return math.gamma(a) * gammaincc(a, x) * np.power(x, -a)
     if isinstance(x, np.ndarray):
-        return np.array([_scaled_upper_gamma(a, v) for v in x.tolist()])
+        return np.vectorize(_scaled_upper_gamma, otypes=[float])(a, x, log_x)
     if x < 1.0:
         # term n of -x**-a int_x^1 is x**min(n,-a) expm1(e ln x)/e, e = |n+a|
-        log_x = math.log(x)
+        log_x = math.log(x) if log_x is None or x >= 2**-1022 else log_x
         rest = sum((-1) ** n / math.factorial(n)
                    * math.exp(min(n, -a) * log_x)
                    * (math.expm1(abs(a + n) * log_x) / abs(a + n) if a + n
@@ -412,13 +413,14 @@ def _upper_gamma_at_one(a: float) -> float:
     return _scaled_upper_gamma(a, 1.0)
 
 
-def _moment(mu, c, c_mu, T: float, gamma: float) -> float:
+def _moment(mu, c, c_mu, T: float, gamma: float, log_mu=None) -> float:
     """int_T^inf t**-gamma sum c e**(-mu t) dt for atoms mu of weight c,
-    either walk's; the caller gives c_mu = c mu**(gamma-1), finite where
-    mu underflows, and T = 0 only for gamma < 1."""
+    either walk's; c_mu = c mu**(gamma-1) and log_mu = ln mu (np.log(mu)
+    if None) stay finite where mu underflows.  T = 0 only for gamma < 1."""
     a = 1.0 - gamma
     if a <= 0:
-        return T**a * float(np.sum(c * _scaled_upper_gamma(a, mu * T)))
+        log_x = (np.log(mu) if log_mu is None else log_mu) + math.log(T)
+        return T**a * float(np.sum(c * _scaled_upper_gamma(a, mu * T, log_x)))
     if gamma == 0.0:
         return float(np.sum(c_mu * np.exp(-mu * T)))
     return math.gamma(a) * float(np.sum(c_mu * gammaincc(a, mu * T)))
@@ -491,4 +493,4 @@ def green_tail_partial_sum(params: LatticeParams, T: float, gamma: float,
     coeff = 1.0 - 1.0 / params.nu
     q = params.p ** (gamma - 1.0) / params.nu  # q**s stays finite past p**s
     return _moment(params.p**s, coeff * float(params.nu) ** -s, coeff * q**s,
-                   T, gamma)
+                   T, gamma, s * math.log(params.p))

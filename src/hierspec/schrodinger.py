@@ -34,9 +34,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError
-from .hierops import (DENSE_CAP_DEFAULT, HaarBasis, VolumeGrid,
-                      apply_laplacian, assemble_dense, hier_distance_matrix,
-                      lanczos_extreme)
+from .hierops import (DENSE_CAP_DEFAULT, FAST_CAP_DEFAULT, HaarBasis,
+                      VolumeGrid, apply_laplacian, assemble_dense,
+                      hier_distance_matrix, lanczos_extreme)
 from .lattice import LatticeParams, Site, cube_of, cube_sites, hier_distance, \
     rho_of_distance
 
@@ -95,6 +95,9 @@ def powerlaw_potential(params: LatticeParams, x0: Site, theta: float,
     """V(x) = theta (1 + rho(x0, x))**(-beta) on the rank-``radius`` cube at x0."""
     if theta < 0 or beta <= 0:
         raise DomainError("need theta >= 0 and beta > 0")
+    if params.nu**radius > FAST_CAP_DEFAULT:
+        raise DomainError(f"power-law radius {radius}: {params.nu}**{radius} "
+                          f"sites exceed every volume ({FAST_CAP_DEFAULT})")
     support = {}
     for x in cube_sites(cube_of(x0, radius, params.nu), params.nu):
         r = hier_distance(x0, x, params.nu)

@@ -270,6 +270,14 @@ class TestBoundsCommand:
         assert len(rows) == 4
         assert all(0.0 < float(row[6]) < float("inf") for row in rows)
 
+    def test_weights_where_atoms_underflow(self, capsys):
+        # at p = 1e-9 the free walk's atoms p**s T reach 0.0 in double
+        assert main(["bounds", "--nu", "2", "--p", "1e-9", "--depth", "3",
+                     "--radius", "2", "--thetas", "0.8", "--sigma", "1",
+                     "--gamma", "1.5", "--theorems", "lt-weighted"]) == 0
+        (row,) = parse_csv(capsys.readouterr().out)[1:]
+        assert 0.0 < float(row[6]) < float("inf")
+
 
     @pytest.mark.parametrize("theorems", ["lt-general,lt-general-weighted",
                                           "clr"])

@@ -349,6 +349,105 @@ class TestThetaZeta:
         assert all(a > b for a, b in zip(locations, locations[1:]))
 
 
+def atoms_one_by_one(params, term, first, last, total=0.0):
+    """Reference for cf._sum_atoms: one atom at a time, in order of s."""
+    top = int(np.max(last, initial=first - 1))
+    for s in range(first, top + 1):
+        loc, w = cf._atom(params, s)
+        total = total + term(s, loc, w) * (s <= last)
+    return total
+
+
+class TestSumAtoms:
+    """The blocked running sum gives the bits of the one-by-one loop."""
+
+    # a scalar, a block of many atoms, blocks of two atoms, of one atom
+    SIZES = [None, 60, 3000, 20000]
+
+    @staticmethod
+    def grid(lo, hi, size):
+        return (math.sqrt(lo * hi) if size is None
+                else np.geomspace(lo, hi, size))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_heat_and_resolvent_bits(self, monkeypatch, size):
+        ts = self.grid(1e-3, 1e6, size)
+        lams = self.grid(2e-3, 80.0, size)
+        turn = np.exp(1j * (0.3 if size is None else np.linspace(-2.3, 2.3,
+                                                                 size)))
+        calls = [(cf.heat_kernel, ts, 0), (cf.heat_kernel, ts, 2),
+                 (cf.heat_profile, ts), (cf.heat_exterior_mass, ts, 3),
+                 (cf.resolvent, lams, 0), (cf.resolvent, lams * turn, 2)]
+        for pa in (PA_2_QUARTER, LatticeParams(3, 0.4)):
+            values = [f(pa, *args) for f, *args in calls]
+            with monkeypatch.context() as m:
+                m.setattr(cf, "_sum_atoms", atoms_one_by_one)
+                reference = [f(pa, *args) for f, *args in calls]
+            for value, ref in zip(values, reference):
+                assert np.array_equal(value, ref)
+
+    def test_measure_bits(self, monkeypatch):
+        import hierspec.annihilated as ann
+        pa = PA_2_QUARTER
+        ann._measure.cache_clear()
+        values = [ann._measure(pa, r) for r in range(1, 5)]
+        with monkeypatch.context() as m:
+            m.setattr(ann, "_sum_atoms", atoms_one_by_one)
+            ann._measure.cache_clear()
+            reference = [ann._measure(pa, r) for r in range(1, 5)]
+        ann._measure.cache_clear()
+        for (mu, c, tail), (mu_ref, c_ref, tail_ref) in zip(values, reference):
+            assert np.array_equal(mu, mu_ref) and np.array_equal(c, c_ref)
+            assert tail == tail_ref
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_measure_brackets_end_on_adjacent_floats(self, monkeypatch, r):
+        # replay the bisection from the pole sums it asked for, then check
+        # that each bracket is two adjacent floats across a sign change
+        import inspect
+        import hierspec.annihilated as ann
+        pa, pole_sum, calls = PA_2_QUARTER, ann._pole_sum, []
+
+        def spy(params, den, last, head=0.0):
+            value = pole_sum(params, den, last, head)
+            calls.append((inspect.getclosurevars(den).nonlocals, last, value))
+            return value
+
+        monkeypatch.setattr(ann, "_pole_sum", spy)
+        ann._measure.cache_clear()
+        mu, _, _ = ann._measure(pa, r)
+        ann._measure.cache_clear()
+        bisection = [call for call in calls if "mid" in call[0]]
+        base, last = bisection[0][0]["base"], bisection[0][1]
+        lo = np.full(len(base), np.finfo(float).tiny)
+        hi = np.array([cf._atom(pa, j)[0] for j in range(len(base))]) - base
+        for env, _, value in bisection:
+            up = value > 0.0
+            lo, hi = np.where(up, lo, env["mid"]), np.where(up, env["mid"], hi)
+        y = next(env["y"] for env, _, _ in calls if "y" in env)
+        assert np.array_equal((lo + hi) / 2.0, y)
+        assert np.array_equal(mu[r:], base + y)
+        assert np.array_equal(np.nextafter(lo, np.inf), hi)
+        with np.errstate(divide="ignore"):
+            assert np.all(pole_sum(pa, lambda loc: (loc - base) - lo, last)
+                          <= 0.0)
+            assert np.all(pole_sum(pa, lambda loc: (loc - base) - hi, last)
+                          > 0.0)
+
+    def test_memory_is_a_few_grids(self):
+        import tracemalloc
+        ts = np.geomspace(1e-3, 1e6, 10**6)
+        tracemalloc.start()
+        try:
+            cf.heat_kernel(PA_2_QUARTER, ts, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # heat_kernel holds about 7 grids at its peak; summing all atoms
+        # of a million points in one block would hold dozens
+        assert peak < 10 * ts.nbytes
+
+
 class TestGreenTail:
     def test_vanishes_at_infinity(self):
         # transient decay is algebraic, ~ 1/T**(s_h/2 - 1)
@@ -451,6 +550,21 @@ class TestGreenTail:
         assert abs(value - exact) <= bound + 1e-14 * exact
         partial = cf.green_tail_partial_sum(PA_2_QUARTER, T, gamma, 1200)
         assert abs(partial - value) <= bound + 1e-14 * exact
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.001, 1.5])
+    def test_gamma_at_least_one_where_atoms_underflow(self, gamma):
+        # at p = 1e-9, p**s T is 0.0 from s = 36 on, while nu**-s still
+        # weighs 1e-11; those atoms are read through ln x = s ln p + ln T
+        # (for gamma near 1 the x -> 0 limit 1/(-a) is far off)
+        import mpmath
+        pa = LatticeParams(2, 1e-9)
+        with mpmath.workdps(30):
+            p, a = mpmath.mpf(pa.p), 1 - mpmath.mpf(gamma)
+            exact = float(mpmath.fsum(
+                2 ** -mpmath.mpf(s + 1) * p ** (-a * s)
+                * mpmath.gammainc(a, p**s, mpmath.inf) for s in range(64)))
+        value = cf.green_tail_integral(pa, 1.0, gamma)
+        assert abs(value - exact) <= 1e-12 + 1e-14 * exact
 
     def test_divergence_signals(self):
         with pytest.raises(DivergentIntegralError):

@@ -28,6 +28,16 @@ class TestPotential:
         with pytest.raises(DomainError):
             Potential({0: -1.0})
 
+    def test_powerlaw_cube_beyond_every_volume_refused(self, monkeypatch):
+        import hierspec.schrodinger as sch
+
+        def no_sites(*args):
+            raise AssertionError("sites listed before the check")
+
+        monkeypatch.setattr(sch, "cube_sites", no_sites)
+        with pytest.raises(DomainError, match="2\\*\\*23 sites"):
+            powerlaw_potential(PA_2_QUARTER, 0, 1.0, 3.0, 23)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_values(self, value):
         with pytest.raises(DomainError):
