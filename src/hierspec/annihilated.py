@@ -22,7 +22,6 @@ For t < 1, p1 is a Krylov exponential of the x0-deleted operator on a
 finite volume (boundary leak ~ p**depth * t).
 """
 
-import cmath
 import math
 from functools import lru_cache
 from itertools import count
@@ -31,9 +30,10 @@ import numpy as np
 
 from .errors import (CertificationError, DivergentIntegralError, DomainError,
                      SpectrumProximityError)
-from .closedform import (SECTOR_ANGLE, _atom, _last_index, _moment, _sum_atoms,
-                         resolvent, resolvent_zero)
-from .hierops import VolumeGrid, apply_laplacian, expm_action
+from .closedform import (SECTOR_ANGLE, _any, _atom, _first, _last_index,
+                         _moment, _points, _result, _sum_atoms, resolvent,
+                         resolvent_zero)
+from .hierops import KRYLOV_TOL, VolumeGrid, apply_laplacian, expm_action
 from .lattice import LatticeParams
 
 
@@ -43,14 +43,20 @@ def _check_r(r: int):
                           "at x0 they vanish identically")
 
 
-def _require_sector_off_atoms(params: LatticeParams, lam: complex, r: int,
+def _require_sector_off_atoms(params: LatticeParams, lam, r: int,
                               min_dist: float = 1e-13):
-    if abs(cmath.phase(complex(lam))) > SECTOR_ANGLE + 1e-12 and lam != 0:
-        raise DomainError(f"lam = {lam} outside the sector |arg| <= 3*pi/4")
+    """Reject lam outside the sector and lam within min_dist of -p**s,
+    s < r, naming the first such point; ``lam`` as from ``_points``."""
+    outside = ((abs(np.arctan2(lam.imag, lam.real)) > SECTOR_ANGLE + 1e-12)
+               & (lam != 0))
+    if _any(outside):
+        raise DomainError(f"lam = {_first(lam, outside)} outside the sector "
+                          "|arg| <= 3*pi/4")
     for s in range(r):
-        if abs(lam + params.p**s) < min_dist:
+        close = abs(lam + params.p**s) < min_dist
+        if _any(close):
             raise SpectrumProximityError(
-                f"lam = {lam} within {min_dist} of -p**{s}")
+                f"lam = {_first(lam, close)} within {min_dist} of -p**{s}")
 
 
 def _pole_sum(params: LatticeParams, den, last, head=0.0):
@@ -64,15 +70,17 @@ def _tilde(params: LatticeParams, den, r: int):
                       params.nu ** -r / den(params.p ** (r - 1)))
 
 
-def resolvent_tilde(params: LatticeParams, lam: complex, r: int) -> complex:
-    """Rt_lam(r) = R_lam(x0, x) - R_lam(x, x); a finite sum, lam=0 allowed."""
+def resolvent_tilde(params: LatticeParams, lam, r: int):
+    """Rt_lam(r) = R_lam(x0, x) - R_lam(x, x); a finite sum, lam=0 allowed.
+    ``lam`` may be an array.  The atoms divide in complex arithmetic and
+    the head in lam's type: the rounding the golden CLI outputs record."""
     _check_r(r)
+    lam = _points(lam)
     _require_sector_off_atoms(params, lam, r)
-    lam = complex(lam)
-    value = _tilde(params, lambda loc: lam + loc, r)
-    if lam.imag == 0.0 and lam.real >= 0.0:
-        return complex(value.real, 0.0)
-    return value
+    head = params.nu ** -r / (lam + params.p ** (r - 1))
+    value = -_pole_sum(params, lambda loc: lam + 0j + loc, r - 1, head)
+    real = (lam.imag == 0.0) & (lam.real >= 0.0)
+    return _result(np.where(real, value.real + 0j, value)[()], complex)
 
 
 def a_coefficient(params: LatticeParams, r: int) -> float:
@@ -95,17 +103,21 @@ def annihilated_resolvent_zero(params: LatticeParams, r: int) -> float:
     return value
 
 
-def resolvent_annihilated(params: LatticeParams, lam: complex,
-                          r: int) -> complex:
+def resolvent_annihilated(params: LatticeParams, lam, r: int):
     """Diagonal resolvent of the x0-killed walk at distance r from x0
-    (R_lam(x,x) certified to 1e-14)."""
+    (R_lam(x,x) certified to 1e-14); ``lam`` may be an array.  Real
+    lam > 0 finishes -2 Rt - Rt**2/R in real arithmetic, as Python's
+    complex division does; numpy's rounds differently."""
     _check_r(r)
-    tilde = resolvent_tilde(params, lam, r)
-    diag = resolvent(params, lam, 0)
-    value = -2.0 * tilde - tilde * tilde / diag
-    if complex(lam).imag == 0.0 and complex(lam).real > 0.0:
-        return complex(value.real, 0.0)
-    return value
+    lam = _points(lam)
+    tilde = np.asarray(resolvent_tilde(params, lam, r))
+    diag = np.asarray(resolvent(params, lam, 0))
+    a, d = tilde.real, diag.real
+    real = (lam.imag == 0.0) & (lam.real > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # branch not taken
+        value = np.where(real, -2.0 * a - a * a / d,
+                         -2.0 * tilde - tilde * tilde / diag)
+    return _result(value[()], complex)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +152,21 @@ def p1_small_t(params: LatticeParams, ts, r: int) -> np.ndarray:
     max(r + 2, about log_nu 16384), vectorized in t.
 
     Accuracy is limited by the boundary leak ~ p**depth * t, which is
-    why this path serves only small t.
+    why this path serves only small t.  All t share one Krylov basis.
+    A value outside [0, 1] by more than the Krylov agreement tolerance
+    raises :class:`CertificationError`; within it the value is returned
+    as computed.
     """
     _check_r(r)
     matvec, v0, x = _deleted_expm_setup(params.nu, params.p, r,
                                         _default_depth(params, r))
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     vals = expm_action(matvec, v0, ts_arr)[:, x]
-    vals = np.clip(vals, 0.0, 1.0)
+    outside = np.maximum(vals - 1.0, -vals) > KRYLOV_TOL
+    if outside.any():
+        raise CertificationError(
+            f"p1 at t={_first(ts_arr, outside)} = {_first(vals, outside)} "
+            f"lies outside [0, 1] by more than {KRYLOV_TOL:g}")
     return vals if np.ndim(ts) else float(vals[0])
 
 
@@ -209,26 +228,37 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     return mu, c, tail
 
 
-def p1_diag(params: LatticeParams, t: float, r: int) -> float:
+def p1_diag(params: LatticeParams, t, r: int):
     """Annihilated-kernel diagonal p1(t, x, x) at distance r from x0.
 
-    t >= 1 sums c e**(-mu t) over the spectral measure; the roots left
-    out add at most their weight tail, so the error is <= tail + rounding
-    and CertificationError is raised when that exceeds ``_TOL`` = 1e-10.
-    t < 1 delegates to :func:`p1_small_t` (error ~ p**depth * t).
+    ``t`` may be an array (the result is then an array, else a float).
+    t >= 1 sums c e**(-mu t) over the spectral measure, one row of
+    (points x roots) per t; the roots left out add at most their weight
+    tail, so the error is <= tail + rounding and CertificationError,
+    naming the first t concerned, is raised when that exceeds ``_TOL``
+    = 1e-10.  All t < 1 go to one :func:`p1_small_t` call (error
+    ~ p**depth * t).
     """
     _check_r(r)
-    if t < 0:
+    ts = np.atleast_1d(_points(t))
+    if _any(ts < 0):
         raise DomainError("time must be nonnegative")
-    if t < 1.0:
-        return float(p1_small_t(params, float(t), r))
-    mu, c, tail = _measure(params, r, 1e-40)  # _measure_integral's cache key
-    value = float(np.sum(c * np.exp(-mu * t)))
-    bound = tail + _ROUNDING * value
-    if bound > _TOL:
-        raise CertificationError(
-            f"p1 at t={t}: bound {bound:.3g} exceeds {_TOL:.3g}")
-    return value
+    small = ts < 1.0
+    value = np.empty(ts.shape)
+    if small.any():
+        value[small] = p1_small_t(params, ts[small], r)
+    if not small.all():
+        mu, c, tail = _measure(params, r, 1e-40)  # _measure_integral's key
+        big = ts[~small]
+        value[~small] = np.sum(c * np.exp(-np.multiply.outer(big, mu)),
+                               axis=-1)  # pairwise, as a 1-d np.sum
+        bound = tail + _ROUNDING * value[~small]
+        failed = bound > _TOL
+        if failed.any():
+            raise CertificationError(
+                f"p1 at t={_first(big, failed)}: bound "
+                f"{_first(bound, failed):.3g} exceeds {_TOL:.3g}")
+    return value if np.ndim(t) else float(value[0])
 
 
 def _measure_integral(params: LatticeParams, T: float, gamma: float, r: int,

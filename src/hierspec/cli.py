@@ -197,16 +197,23 @@ def _cmd_zeta(args):
 
 def _cmd_annihilated(args):
     params = _params(args)
+    # one array call per grid; the tail point by point, as
+    # p1_tail_integral memoizes each (T, r)
     fn, option, columns = {
-        "p1": (ann.p1_diag, "t", ("t", "r", "p1")),
-        "resolvent": (lambda *a: ann.resolvent_annihilated(*a).real, "lam",
-                      ("lambda", "r", "value")),
-        "tail": (ann.p1_tail_integral, "t", ("T", "r", "tail_integral")),
+        "p1": (lambda xs: ann.p1_diag(params, np.array(xs), args.r).tolist(),
+               "t", ("t", "r", "p1")),
+        "resolvent": (lambda xs: ann.resolvent_annihilated(
+                          params, np.array(xs), args.r).real.tolist(),
+                      "lam", ("lambda", "r", "value")),
+        "tail": (lambda xs: [ann.p1_tail_integral(params, x, args.r)
+                             for x in xs],
+                 "t", ("T", "r", "tail_integral")),
     }[args.mode]
     grid = getattr(args, option)
     if grid is None:
         raise DomainError(f"--mode {args.mode} needs --{option}")
-    rows = [(x, args.r, fn(params, x, args.r)) for x in _float_grid(grid)]
+    xs = _float_grid(grid)
+    rows = [(x, args.r, v) for x, v in zip(xs, fn(xs))]
     _emit(args, columns, rows, _meta(args, r=args.r, mode=args.mode))
 
 

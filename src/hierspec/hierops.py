@@ -36,6 +36,8 @@ from .lattice import LatticeParams
 
 DENSE_CAP_DEFAULT = 4096
 FAST_CAP_DEFAULT = 2**22
+#: agreement of successive Krylov approximations in :func:`expm_action`
+KRYLOV_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -426,10 +428,13 @@ def expm_action(matvec, v: np.ndarray, ts) -> np.ndarray:
     """exp(t A) v for one or many t, A symmetric (Lanczos projection).
 
     Returns an array of shape (len(ts), len(v)); a scalar ``ts`` yields
-    shape (len(v),).  The Krylov dimension starts at 30 and doubles, up
-    to 240, until two successive approximations of every requested
-    exp(t A) v agree to 1e-11 (relative to ||v||); each doubling extends
-    the same Lanczos basis.
+    shape (len(v),).  All t share one Lanczos basis.  Its dimension
+    starts at 30 and doubles, up to 240, until two successive
+    approximations of every exp(t A) v agree to ``KRYLOV_TOL`` (relative
+    to ||v||), or until the Krylov space is exhausted and the result is
+    exact (after about 14 steps on the volumes of
+    :func:`hierspec.annihilated.p1_small_t`).  Each t is then formed on
+    its own, with the bits of a call for that t alone.
     """
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     beta = float(np.linalg.norm(v))
@@ -446,10 +451,14 @@ def expm_action(matvec, v: np.ndarray, ts) -> np.ndarray:
                                        betas))
         used = len(alphas)
         theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:used - 1])
-        # exp(t T) e1 through the tridiagonal eigendecomposition
+        # exp(t T) e1 through the tridiagonal eigendecomposition, as
+        # (1, used) rows: one (k, used) product would round differently
         weights = s * s[0]  # row 0 of S scaled into columns
-        coeff = np.exp(np.outer(ts_arr, theta)) @ weights.T
-        return beta * (coeff @ basis[:used]), used
+        out = np.empty((len(ts_arr), len(v)))
+        for row, t in zip(out, ts_arr):
+            row[:] = beta * (np.exp(np.outer(t, theta)) @ weights.T
+                             @ basis[:used])[0]
+        return out, used
 
     m = 30
     prev, used = krylov(m)
@@ -458,7 +467,7 @@ def expm_action(matvec, v: np.ndarray, ts) -> np.ndarray:
             return prev if np.ndim(ts) else prev[0]
         m *= 2
         cur, used = krylov(m)
-        if np.max(np.abs(cur - prev)) <= 1e-11 * beta:
+        if np.max(np.abs(cur - prev)) <= KRYLOV_TOL * beta:
             return cur if np.ndim(ts) else cur[0]
         prev = cur
     raise CertificationError("Krylov matrix exponential did not converge")

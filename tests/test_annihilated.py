@@ -15,9 +15,10 @@ import scipy.linalg
 
 import hierspec.annihilated as ann
 import hierspec.closedform as cf
+from hierspec.cli import main
 from hierspec.errors import (CertificationError, DivergentIntegralError,
-                             DomainError)
-from hierspec.hierops import VolumeGrid, assemble_dense
+                             DomainError, SpectrumProximityError)
+from hierspec.hierops import VolumeGrid, assemble_dense, expm_action
 from hierspec.lattice import LatticeParams, rho_of_distance
 
 PA_2_HALF = LatticeParams(2, 0.5)
@@ -188,6 +189,68 @@ class TestP1:
                 assert ratio == pytest.approx(predicted, rel=1e-12)
                 ratios.append(ratio)
             assert ratios[-1] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestArrayCalls:
+    """An array call gives the bits of one scalar call per point."""
+
+    @pytest.mark.parametrize("pa, r", [(PA_2_QUARTER, 1), (PA_2_QUARTER, 2),
+                                       (PA_2_QUARTER, 3), (PA_4_HALF, 2)])
+    def test_p1_diag_across_t_one(self, pa, r):
+        ts = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 700.0])
+        got = ann.p1_diag(pa, ts, r)
+        assert np.array_equal(got, [ann.p1_diag(pa, t, r) for t in ts])
+        assert isinstance(ann.p1_diag(pa, 0.5, r), float)
+
+    @pytest.mark.parametrize("pa, r", [(PA_2_QUARTER, 2), (PA_4_HALF, 3)])
+    def test_resolvent_annihilated(self, pa, r):
+        real = np.geomspace(1e-3, 50.0, 40)
+        rng = np.random.default_rng(5)
+        inside = (10.0 ** rng.uniform(-3.0, 2.0, 40)
+                  * np.exp(1j * rng.uniform(-2.3, 2.3, 40)))
+        for lam, kind in ((real, float), (inside, complex)):
+            got = ann.resolvent_annihilated(pa, lam, r)
+            want = [ann.resolvent_annihilated(pa, kind(x), r) for x in lam]
+            assert np.array_equal(got, want)
+        assert np.all(ann.resolvent_annihilated(pa, real, r).imag == 0.0)
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            ann.p1_diag(PA_2_QUARTER, np.array([2.0, 0.5, -0.1, 3.0]), 1)
+
+    def test_first_lambda_outside_sector_named(self):
+        lam = np.array([0.5, 1j, -1.0 + 0.5j, -2.0 + 0.1j])
+        with pytest.raises(DomainError, match=r"lam = \(-1\+0\.5j\) outside"):
+            ann.resolvent_annihilated(PA_2_QUARTER, lam, 2)
+
+    def test_lambda_near_atom_rejected(self):
+        # at r = 25 the atoms -p**s, s < r, reach into the sector's tip
+        with pytest.raises(SpectrumProximityError, match="lam = 5e-14 within"):
+            ann.resolvent_annihilated(PA_2_QUARTER, np.array([0.5, 5e-14]), 25)
+
+    def test_one_krylov_basis_per_cli_grid(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expm_action(*args)
+
+        monkeypatch.setattr(ann, "expm_action", counted)
+        assert main(["annihilated", "--nu", "2", "--p", "0.25", "--mode",
+                     "p1", "--r", "1", "--t", "0.05,0.1,0.2,0.4,0.6,0.9",
+                     "--output", str(tmp_path / "p1.csv")]) == 0
+        assert len(calls) == 1
+
+    def test_krylov_value_outside_unit_interval(self, monkeypatch):
+        def constant(value):
+            return lambda matvec, v, ts: np.full((len(ts), len(v)), value)
+
+        monkeypatch.setattr(ann, "expm_action", constant(1.0 + 1e-9))
+        with pytest.raises(CertificationError, match="outside"):
+            ann.p1_small_t(PA_2_QUARTER, 0.5, 1)
+        # within the Krylov tolerance the value is returned as computed
+        monkeypatch.setattr(ann, "expm_action", constant(1.0 + 1e-12))
+        assert ann.p1_small_t(PA_2_QUARTER, 0.5, 1) == 1.0 + 1e-12
 
 
 class TestTailIntegrals:

@@ -24,6 +24,9 @@ CASES = {
                        "--t", "0.05,0.2,0.5,0.9"],
     "p1.csv": ["annihilated", *KILLED, "--mode", "p1", "--r", "2",
                "--t", "1:700:40"],
+    # one grid on both sides of t = 1: Krylov and spectral-measure paths
+    "p1_straddle.csv": ["annihilated", *KILLED, "--mode", "p1", "--r", "1",
+                        "--t", "0,0.05,0.5,1,2,700"],
     "tail.csv": ["annihilated", *KILLED, "--mode", "tail", "--r", "3",
                  "--t", "0,0.3,1,3,10,30,100,300"],
     "tail_transient.csv": ["annihilated", "--nu", "4", "--p", "0.5",
