@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (CertificationError, DivergentIntegralError, DomainError,
                      SpectrumProximityError)
-from .closedform import (SECTOR_ANGLE, _any, _atom, _first, _last_index,
+from .closedform import (SECTOR_ANGLE, _MIN_DIST, _atom, _first, _last_index,
                          _moment, _points, _result, _sum_atoms, resolvent,
                          resolvent_zero)
 from .hierops import KRYLOV_TOL, VolumeGrid, apply_laplacian, expm_action
@@ -43,20 +43,19 @@ def _check_r(r: int):
                           "at x0 they vanish identically")
 
 
-def _require_sector_off_atoms(params: LatticeParams, lam, r: int,
-                              min_dist: float = 1e-13):
-    """Reject lam outside the sector and lam within min_dist of -p**s,
+def _require_sector_off_atoms(params: LatticeParams, lam, r: int):
+    """Reject lam outside the sector and lam within _MIN_DIST of -p**s,
     s < r, naming the first such point; ``lam`` as from ``_points``."""
     outside = ((abs(np.arctan2(lam.imag, lam.real)) > SECTOR_ANGLE + 1e-12)
                & (lam != 0))
-    if _any(outside):
+    if np.any(outside):
         raise DomainError(f"lam = {_first(lam, outside)} outside the sector "
                           "|arg| <= 3*pi/4")
     for s in range(r):
-        close = abs(lam + params.p**s) < min_dist
-        if _any(close):
+        close = abs(lam + params.p**s) < _MIN_DIST
+        if np.any(close):
             raise SpectrumProximityError(
-                f"lam = {_first(lam, close)} within {min_dist} of -p**{s}")
+                f"lam = {_first(lam, close)} within {_MIN_DIST} of -p**{s}")
 
 
 def _pole_sum(params: LatticeParams, den, last, head=0.0):
@@ -153,9 +152,9 @@ def p1_small_t(params: LatticeParams, ts, r: int) -> np.ndarray:
 
     Accuracy is limited by the boundary leak ~ p**depth * t, which is
     why this path serves only small t.  All t share one Krylov basis.
-    A value outside [0, 1] by more than the Krylov agreement tolerance
-    raises :class:`CertificationError`; within it the value is returned
-    as computed.
+    A value outside [0, 1] by more than the rounding allowance
+    ``KRYLOV_TOL`` raises :class:`CertificationError`; within it the
+    value is returned as computed.
     """
     _check_r(r)
     matvec, v0, x = _deleted_expm_setup(params.nu, params.p, r,
@@ -241,7 +240,7 @@ def p1_diag(params: LatticeParams, t, r: int):
     """
     _check_r(r)
     ts = np.atleast_1d(_points(t))
-    if _any(ts < 0):
+    if np.any(ts < 0):
         raise DomainError("time must be nonnegative")
     small = ts < 1.0
     value = np.empty(ts.shape)

@@ -40,6 +40,7 @@ from .errors import (CertificationError, DivergentIntegralError, DomainError,
 from .lattice import LatticeParams
 
 SECTOR_ANGLE = 3.0 * math.pi / 4.0
+_MIN_DIST = 1e-13  # least distance of a resolvent's lam from an atom -p**s
 _MAX_TERMS = 100_000
 
 
@@ -70,22 +71,15 @@ def _result(value, kind=float):
     return value if isinstance(value, np.ndarray) else kind(value)
 
 
-def _any(mask) -> bool:
-    """np.any without its overhead on a scalar."""
-    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
-
-
 def _last_index(first, scale, ratio, tol):
     """Least s >= first with scale * ratio**(s+1) <= tol, for 0 < ratio < 1,
     element by element; the 1e-9 slack can only add one term, where
     rounding could leave the bound a hair above tol."""
     n = np.floor(np.log(scale / tol + 1e-300) / -math.log(ratio) + 1e-9)
-    if _any(~(n - first <= _MAX_TERMS)):
+    if np.any(~(n - first <= _MAX_TERMS)):
         raise CertificationError(
             f"series needs more than {_MAX_TERMS} terms to certify")
-    if isinstance(n, np.ndarray):
-        return np.maximum(n, first).astype(int)
-    return max(int(n), first)
+    return np.maximum(n, first).astype(int)
 
 
 def _sum_atoms(params: LatticeParams, term, first: int, last, total=0.0):
@@ -98,7 +92,7 @@ def _sum_atoms(params: LatticeParams, term, first: int, last, total=0.0):
     an array call gives the bits of scalar calls, point by point.
     """
     points = np.broadcast(last, total)
-    top = int(last.max(initial=first - 1) if np.ndim(last) else last)
+    top = int(np.max(last, initial=first - 1))
     atoms = _atom_table(params, 1 << max(10, top.bit_length()))[first:top + 1]
     s, loc, w = (v.reshape((-1,) + (1,) * points.ndim)
                  for v in (np.arange(first, top + 1), *atoms.T))
@@ -163,7 +157,7 @@ def heat_kernel(params: LatticeParams, t, r: int = 0, tol: float = 1e-14):
     values, t = 0 in particular, exact).  ``t`` may be an array.
     """
     t = _points(t)
-    if _any(t < 0):
+    if np.any(t < 0):
         raise DomainError("time must be nonnegative")
     if r < 0:
         raise DomainError("distance must be nonnegative")
@@ -177,7 +171,7 @@ def heat_kernel(params: LatticeParams, t, r: int = 0, tol: float = 1e-14):
     tail_hi = np.power(float(nu), -(last + 1.0))
     tail_gap = gap_scale * np.power(p / nu, last + 1.0)
     value = value + (tail_hi - np.minimum(tail_gap, tail_hi) / 2.0)
-    if _any(value < -10.0 * tol):
+    if np.any(value < -10.0 * tol):
         raise CertificationError("heat kernel evaluated negative")
     return _result(np.clip(value, 0.0, 1.0))
 
@@ -190,7 +184,7 @@ def heat_profile(params: LatticeParams, t, tol: float = 1e-12):
     ``tol`` at any t.  ``t`` may be an array.
     """
     t = _points(t)
-    if _any(t <= 0):
+    if np.any(t <= 0):
         raise DomainError("heat profile needs t > 0")
     scale = np.power(t, params.s_h / 2.0)
     kernel_tol = np.maximum(tol / scale, 1e-300)
@@ -210,7 +204,7 @@ def heat_exterior_mass(params: LatticeParams, t, volume_rank: int):
     if volume_rank < 0:
         raise DomainError("volume rank must be nonnegative")
     t = _points(t)
-    if _any(t < 0):
+    if np.any(t < 0):
         raise DomainError("time must be nonnegative")
     nu, p = params.nu, params.p
     # the terms past atom S weigh nu**R nu**-(S+1) at most
@@ -232,28 +226,27 @@ def _first(x, mask):
     return np.asarray(x)[np.asarray(mask)][0]
 
 
-def _require_resolvent_domain(params: LatticeParams, lam,
-                              min_dist: float = 1e-13):
-    """Reject lam = 0, lam outside the sector and lam within min_dist of
+def _require_resolvent_domain(params: LatticeParams, lam):
+    """Reject lam = 0, lam outside the sector and lam within _MIN_DIST of
     an atom -p**k.  On the sector every atom is at least |lam|/sqrt(2)
     away; their infimum distance is |lam| (they accumulate at 0) and
     only the two atoms around -Re lam can be nearer."""
-    if _any(lam == 0):
+    if np.any(lam == 0):
         raise DomainError("lam = 0 is the spectral accumulation point; "
                           "use resolvent_zero for the transient Green function")
     outside = abs(np.arctan2(lam.imag, lam.real)) > SECTOR_ANGLE + 1e-12
-    if _any(outside):
+    if np.any(outside):
         raise DomainError(f"lam = {_first(lam, outside)} outside the sector "
                           "|arg| <= 3*pi/4")
-    if not _any(abs(lam) < math.sqrt(2.0) * min_dist):
+    if not np.any(abs(lam) < math.sqrt(2.0) * _MIN_DIST):
         return
     depth = np.log(np.maximum(-lam.real, 1e-300)) / math.log(params.p)
     k = np.maximum(np.floor(depth), 0.0)
     close = np.minimum.reduce([abs(lam), abs(lam + params.p**k),
-                               abs(lam + params.p ** (k + 1))]) < min_dist
-    if _any(close):
+                               abs(lam + params.p ** (k + 1))]) < _MIN_DIST
+    if np.any(close):
         raise SpectrumProximityError(
-            f"lam = {_first(lam, close)} within {min_dist} of the spectrum")
+            f"lam = {_first(lam, close)} within {_MIN_DIST} of the spectrum")
 
 
 def resolvent(params: LatticeParams, lam, r: int = 0, tol: float = 1e-14):

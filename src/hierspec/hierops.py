@@ -36,7 +36,8 @@ from .lattice import LatticeParams
 
 DENSE_CAP_DEFAULT = 4096
 FAST_CAP_DEFAULT = 2**22
-#: agreement of successive Krylov approximations in :func:`expm_action`
+#: rounding allowed a Krylov p1 value outside [0, 1] in
+#: :func:`hierspec.annihilated.p1_small_t`
 KRYLOV_TOL = 1e-11
 
 
@@ -135,14 +136,6 @@ def _apply_naive(cols: np.ndarray, grid: VolumeGrid) -> np.ndarray:
     return out
 
 
-def _pairwise_distances(q: np.ndarray, nu: int, depth: int) -> np.ndarray:
-    d = np.zeros((len(q), len(q)), dtype=np.int16)
-    for _ in range(depth):
-        d += q[:, None] != q[None, :]
-        q = q // nu
-    return d
-
-
 def hier_distance_matrix(grid: VolumeGrid, sites) -> np.ndarray:
     """Pairwise hierarchical distances of ``sites``, as an int16 matrix.
 
@@ -150,8 +143,12 @@ def hier_distance_matrix(grid: VolumeGrid, sites) -> np.ndarray:
     of x and y still differ (they agree from some rank on, and once
     equal stay equal).
     """
-    return _pairwise_distances(np.asarray(sites, dtype=np.int64),
-                               grid.params.nu, grid.depth)
+    q = np.asarray(sites, dtype=np.int64)
+    d = np.zeros((len(q), len(q)), dtype=np.int16)
+    for _ in range(grid.depth):
+        d += q[:, None] != q[None, :]
+        q = q // grid.params.nu
+    return d
 
 
 def assemble_dense(grid: VolumeGrid, diagonal=None) -> np.ndarray:
@@ -272,9 +269,7 @@ class HaarBasis:
     def apply_operator(self, field) -> np.ndarray:
         """Laplacian action via the diagonalization (for cross-checks)."""
         coeffs = self.forward(field)
-        if coeffs.ndim == 1:
-            return self.inverse(coeffs * self.eigenvalues)
-        return self.inverse(coeffs * self.eigenvalues[:, None])
+        return self.inverse((coeffs.T * self.eigenvalues).T)
 
     def solve_shifted(self, rhs, shift: float) -> np.ndarray:
         """Solve (shift - L) u = rhs exactly through the eigenbasis."""
@@ -282,9 +277,7 @@ class HaarBasis:
         denom = shift - self.eigenvalues
         if np.any(np.abs(denom) < 1e-300):
             raise DomainError("shift coincides with an eigenvalue")
-        if coeffs.ndim == 1:
-            return self.inverse(coeffs / denom)
-        return self.inverse(coeffs / denom[:, None])
+        return self.inverse((coeffs.T / denom).T)
 
     def green_by_distance(self, shift: float) -> np.ndarray:
         """Green function (shift - L)^(-1)(x, y) as a table over the
@@ -424,50 +417,36 @@ def lanczos_extreme(matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         f"Lanczos did not converge {k} eigenpairs in {max_iter} iterations")
 
 
-def expm_action(matvec, v: np.ndarray, ts) -> np.ndarray:
-    """exp(t A) v for one or many t, A symmetric (Lanczos projection).
+def expm_action(matvec, v: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(t A) v for every t of the 1-d array ``ts``, A symmetric.
 
-    Returns an array of shape (len(ts), len(v)); a scalar ``ts`` yields
-    shape (len(v),).  All t share one Lanczos basis.  Its dimension
-    starts at 30 and doubles, up to 240, until two successive
-    approximations of every exp(t A) v agree to ``KRYLOV_TOL`` (relative
-    to ||v||), or until the Krylov space is exhausted and the result is
-    exact (after about 14 steps on the volumes of
-    :func:`hierspec.annihilated.p1_small_t`).  Each t is then formed on
-    its own, with the bits of a call for that t alone.
+    Returns an array of shape (len(ts), len(v)).  Lanczos steps run until
+    the Krylov space of v is exhausted, where the projection is exact (at
+    most 41 steps on the volumes of
+    :func:`hierspec.annihilated.p1_small_t`); a space not exhausted in 240
+    steps raises :class:`CertificationError`.  All t share the basis;
+    each t is then formed on its own, with the bits of a call for that t
+    alone.
     """
-    ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     beta = float(np.linalg.norm(v))
     if beta == 0.0:
-        out = np.zeros((len(ts_arr), len(v)))
-        return out if np.ndim(ts) else out[0]
+        return np.zeros((len(ts), len(v)))
     basis = np.empty((240, len(v)))
     basis[0] = v / beta
     alphas, betas = [], []
-
-    def krylov(m):  # from the first m steps, fewer if the space is exhausted
-        while len(alphas) < m and not (betas and betas[-1] < 1e-14):
-            betas.append(_lanczos_step(matvec, basis, len(alphas), alphas,
-                                       betas))
-        used = len(alphas)
-        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:used - 1])
-        # exp(t T) e1 through the tridiagonal eigendecomposition, as
-        # (1, used) rows: one (k, used) product would round differently
-        weights = s * s[0]  # row 0 of S scaled into columns
-        out = np.empty((len(ts_arr), len(v)))
-        for row, t in zip(out, ts_arr):
-            row[:] = beta * (np.exp(np.outer(t, theta)) @ weights.T
-                             @ basis[:used])[0]
-        return out, used
-
-    m = 30
-    prev, used = krylov(m)
-    while m < 240:
-        if used < m:  # Krylov space exhausted: result is exact
-            return prev if np.ndim(ts) else prev[0]
-        m *= 2
-        cur, used = krylov(m)
-        if np.max(np.abs(cur - prev)) <= KRYLOV_TOL * beta:
-            return cur if np.ndim(ts) else cur[0]
-        prev = cur
-    raise CertificationError("Krylov matrix exponential did not converge")
+    for j in range(len(basis)):
+        betas.append(_lanczos_step(matvec, basis, j, alphas, betas))
+        if betas[-1] < 1e-14:
+            break
+    else:
+        raise CertificationError(
+            f"Krylov space not exhausted in {len(basis)} Lanczos steps")
+    theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
+    # exp(t T) e1 through the tridiagonal eigendecomposition, as (1, steps)
+    # rows: one (len(ts), steps) product would round differently
+    weights = s * s[0]  # row 0 of S scaled into columns
+    out = np.empty((len(ts), len(v)))
+    for row, t in zip(out, ts):
+        row[:] = beta * (np.exp(np.outer(t, theta)) @ weights.T
+                         @ basis[:len(alphas)])[0]
+    return out

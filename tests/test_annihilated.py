@@ -131,8 +131,7 @@ class TestAnnihilatedResolvent:
 
 class TestP1:
     def test_initial_condition_via_oracle_path(self):
-        vals = ann.p1_small_t(PA_2_HALF, np.array([1e-9]), 2)
-        assert vals[0] == pytest.approx(1.0, abs=1e-6)
+        assert ann.p1_diag(PA_2_HALF, 1e-9, 2) == pytest.approx(1.0, abs=1e-6)
 
     def test_against_deleted_matrix_exponential(self):
         pa = PA_2_HALF
@@ -283,7 +282,12 @@ class TestTailIntegrals:
         pa = PA_2_QUARTER
         gamma = 0.8
         full = ann.p1_weighted_tail_integral(pa, 0.0, gamma, 1)
-        head, _ = quad(lambda t: t**-gamma * float(ann.p1_small_t(pa, t, 1)),
+        # head from the depth-10 volume: the walk leaves it at rate at most
+        # p**10, so its p1 is low by at most p**10 t, and the head by at
+        # most p**10 / (2 - gamma) = 7.9e-7
+        ev, q = np.linalg.eigh(deleted_dense(pa, 10))
+        w = q[0, :] ** 2  # x at distance 1
+        head, _ = quad(lambda t: t**-gamma * float(w @ np.exp(ev * t)),
                        0.0, 1.0, limit=100)
         tail, _ = quad(lambda y: math.exp(y * (1 - gamma))
                        * ann.p1_diag(pa, math.exp(y), 1),

@@ -22,6 +22,9 @@ CASES = {
                    "--gamma", "0.8", "--thetas", "0.8,1.6,3.2"],
     "p1_small_t.csv": ["annihilated", *KILLED, "--mode", "p1", "--r", "1",
                        "--t", "0.05,0.2,0.5,0.9"],
+    # small t on a Krylov space of 31 Lanczos steps, the most pinned here
+    "p1_r15.csv": ["annihilated", *KILLED, "--mode", "p1", "--r", "15",
+                   "--t", "0.05,0.5,0.9"],
     "p1.csv": ["annihilated", *KILLED, "--mode", "p1", "--r", "2",
                "--t", "1:700:40"],
     # one grid on both sides of t = 1: Krylov and spectral-measure paths

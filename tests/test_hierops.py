@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hierspec.errors import DomainError
+from hierspec.errors import CertificationError, DomainError
 from hierspec.hierops import (HaarBasis, SpectrumSummary, VolumeGrid,
                               apply_laplacian, assemble_dense, dense_spectrum,
                               dirichlet_spectrum, expm_action,
@@ -311,3 +311,10 @@ class TestIterative:
         for i, t in enumerate(ts):
             exact = scipy.linalg.expm(t * m) @ v
             assert approx[i] == pytest.approx(exact, abs=1e-10)
+
+    def test_expm_action_refuses_unexhausted_space(self):
+        # 300 distinct eigenvalues and a start with no zero entry span a
+        # Krylov space of dimension 300, beyond the 240 steps allowed
+        eigs = -np.linspace(0.0, 1.0, 300)
+        with pytest.raises(CertificationError, match="not exhausted"):
+            expm_action(lambda x: eigs * x, np.ones(300), np.array([1.0]))
