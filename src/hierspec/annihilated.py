@@ -28,12 +28,11 @@ from itertools import count
 
 import numpy as np
 
-from .errors import (CertificationError, DivergentIntegralError, DomainError,
-                     SpectrumProximityError)
+from .errors import CertificationError, DomainError, SpectrumProximityError
 from .closedform import (SECTOR_ANGLE, _MIN_DIST, _atom, _first, _last_index,
-                         _moment, _points, _result, _sum_atoms, resolvent,
-                         resolvent_zero)
-from .hierops import KRYLOV_TOL, VolumeGrid, apply_laplacian, expm_action
+                         _left_out, _moment, _points, _result, _sum_atoms,
+                         resolvent, resolvent_zero)
+from .hierops import VolumeGrid, apply_laplacian, expm_action
 from .lattice import LatticeParams
 
 
@@ -41,6 +40,16 @@ def _check_r(r: int):
     if r < 1:
         raise DomainError("annihilated-walk quantities need r = d(x0,x) >= 1; "
                           "at x0 they vanish identically")
+
+
+def _certify(what: str, points, bound, tol: float):
+    """Raise CertificationError where ``bound`` exceeds ``tol``, naming
+    the first of ``points`` concerned."""
+    failed = bound > tol
+    if np.any(failed):
+        raise CertificationError(f"{what}={_first(points, failed)}: bound "
+                                 f"{_first(bound, failed):.3g} exceeds "
+                                 f"{tol:.3g}")
 
 
 def _require_sector_off_atoms(params: LatticeParams, lam, r: int):
@@ -146,6 +155,9 @@ def _deleted_expm_setup(nu: int, p: float, r: int, depth: int):
     return matvec, v0, x
 
 
+KRYLOV_TOL = 1e-11  # rounding allowed a Krylov p1 value outside [0, 1]
+
+
 def p1_small_t(params: LatticeParams, ts, r: int) -> np.ndarray:
     """p1(t,x,x) from the deleted operator on the finite volume of depth
     max(r + 2, about log_nu 16384), vectorized in t.
@@ -161,11 +173,8 @@ def p1_small_t(params: LatticeParams, ts, r: int) -> np.ndarray:
                                         _default_depth(params, r))
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     vals = expm_action(matvec, v0, ts_arr)[:, x]
-    outside = np.maximum(vals - 1.0, -vals) > KRYLOV_TOL
-    if outside.any():
-        raise CertificationError(
-            f"p1 at t={_first(ts_arr, outside)} = {_first(vals, outside)} "
-            f"lies outside [0, 1] by more than {KRYLOV_TOL:g}")
+    _certify("p1 outside [0, 1] at t", ts_arr, np.maximum(vals - 1.0, -vals),
+             KRYLOV_TOL)
     return vals if np.ndim(ts) else float(vals[0])
 
 
@@ -251,12 +260,7 @@ def p1_diag(params: LatticeParams, t, r: int):
         big = ts[~small]
         value[~small] = np.sum(c * np.exp(-np.multiply.outer(big, mu)),
                                axis=-1)  # pairwise, as a 1-d np.sum
-        bound = tail + _ROUNDING * value[~small]
-        failed = bound > _TOL
-        if failed.any():
-            raise CertificationError(
-                f"p1 at t={_first(big, failed)}: bound "
-                f"{_first(bound, failed):.3g} exceeds {_TOL:.3g}")
+        _certify("p1 at t", big, tail + _ROUNDING * value[~small], _TOL)
     return value if np.ndim(t) else float(value[0])
 
 
@@ -264,37 +268,26 @@ def _measure_integral(params: LatticeParams, T: float, gamma: float, r: int,
                       tol: float) -> float:
     """int_T^inf t**-gamma p1 dt over the measure, certified to ``tol``
     (relative for gamma > 0).  The roots left out weigh <= tail and hold
-    <= tail_mu of sum c/mu = R1(0); they add at most Gamma(1-gamma)
-    tail**gamma tail_mu**(1-gamma) for gamma < 1 (Hoelder, so tail is kept
-    <= 1e-16**(1/gamma)), sqrt(pi tail tail_mu / T) for gamma = 1 and
-    T**(1-gamma) tail/(gamma-1) for gamma > 1.  For gamma = 0 their part is
+    <= tail_mu of sum c/mu = R1(0), so by Hoelder M(e) = tail**(1+e)
+    tail_mu**-e in :func:`_left_out`'s k M(e) (tail is kept
+    <= 1e-16**(1/gamma) for gamma < 1).  For gamma = 0 their part is
     taken at T = 0, the missing mass R1(0) - sum c/mu, error <= T tail.
     """
-    if T < 0:
-        raise DomainError("lower limit must be nonnegative")
-    if T == 0.0 and gamma >= 1.0:
-        raise DivergentIntegralError(
-            "t**(-gamma) p1 is not integrable at t=0 for gamma >= 1")
     deep = 1e-16 ** (1.0 / gamma) if 0.0 < gamma < 1.0 else 1.0
     mu, c, tail = _measure(params, r, min(1e-40, max(deep, 1e-300)))
+    value = _moment(mu, c, c / mu if gamma == 0.0 else c * mu ** (gamma - 1.0),
+                    T, gamma)
     full = annihilated_resolvent_zero(params, r)
     missing = full - float(np.sum(c / mu))
-    tail_mu = abs(missing) + _ROUNDING * full
-    a = 1.0 - gamma
-    value = _moment(mu, c, c / mu if gamma == 0.0 else c * mu ** -a, T, gamma)
     if gamma == 0.0:
         value += missing
         bound = T * tail + _ROUNDING * full
     else:
-        bound = _ROUNDING * value + (
-            math.gamma(a) * tail**gamma * tail_mu**a if gamma < 1.0 else
-            math.sqrt(math.pi * tail * tail_mu / T) if gamma == 1.0 else
-            T**a * tail / (gamma - 1.0))
+        e, k = _left_out(T, gamma, params.s_h)
+        tail_mu = abs(missing) + _ROUNDING * full
+        bound = _ROUNDING * value + k * tail ** (1.0 + e) * tail_mu**-e
         tol *= value
-    if bound > tol:
-        raise CertificationError(
-            f"int_T^inf t**-{gamma} p1 dt at T={T}: bound {bound:.3g} "
-            f"exceeds {tol:.3g}")
+    _certify(f"int_T^inf t**-{gamma} p1 dt at T", T, bound, tol)
     return value
 
 

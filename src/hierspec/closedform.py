@@ -22,7 +22,8 @@ Everything here is an explicit series over the pure-point spectrum
 Heat-kernel and resolvent series are summed by :func:`_sum_atoms` (all
 atoms in one array pass), tail integrals by :func:`_moment`, up to the
 last index at which a geometric tail bound is below the requested
-tolerance (:class:`CertificationError` past ``_MAX_TERMS`` terms).
+tolerance (:class:`CertificationError` past ``_MAX_TERMS`` terms); both
+walks bound what a tail integral leaves out by one rule, :func:`_left_out`.
 Functions of t or lam also take an ndarray; an array call equals scalar
 calls element by element, bit for bit: both add the atoms by one running
 sum in order of s.
@@ -409,7 +410,13 @@ def _upper_gamma_at_one(a: float) -> float:
 def _moment(mu, c, c_mu, T: float, gamma: float, log_mu=None) -> float:
     """int_T^inf t**-gamma sum c e**(-mu t) dt for atoms mu of weight c,
     either walk's; c_mu = c mu**(gamma-1) and log_mu = ln mu (np.log(mu)
-    if None) stay finite where mu underflows.  T = 0 only for gamma < 1."""
+    if None) stay finite where mu underflows.  Rejects T < 0, and T = 0
+    at gamma >= 1."""
+    if T < 0:
+        raise DomainError("lower limit must be nonnegative")
+    if T == 0.0 and gamma >= 1.0:
+        raise DivergentIntegralError(
+            "t**(-gamma) p(t,x,x) is not integrable at t=0 for gamma >= 1")
     a = 1.0 - gamma
     if a <= 0:
         log_x = (np.log(mu) if log_mu is None else log_mu) + math.log(T)
@@ -417,6 +424,18 @@ def _moment(mu, c, c_mu, T: float, gamma: float, log_mu=None) -> float:
     if gamma == 0.0:
         return float(np.sum(c_mu * np.exp(-mu * T)))
     return math.gamma(a) * float(np.sum(c_mu * gammaincc(a, mu * T)))
+
+
+def _left_out(T: float, gamma: float, s_h: float) -> tuple[float, float]:
+    """(e, k): atoms a measure leaves out add at most k M(e) to
+    int_T^inf t**-gamma sum c e**(-mu t) dt, M(e) >= sum c mu**e over them,
+    as t**-gamma <= t**-g T**(g-gamma) for t >= T, g <= gamma, and
+    int_0^inf t**-g e**(-mu t) dt = Gamma(1-g) mu**(g-1) for g < 1: g is
+    gamma below 1 and max(1/2, 1 - s_h/4) at 1; above 1, e**(-mu t) <= 1."""
+    if gamma > 1.0:
+        return 0.0, T ** (1.0 - gamma) / (gamma - 1.0)
+    g = gamma if gamma < 1.0 else max(0.5, 1.0 - s_h / 4.0)
+    return g - 1.0, math.gamma(1.0 - g) * T ** (g - gamma)
 
 
 def green_tail_divergent(params: LatticeParams, gamma: float) -> bool:
@@ -439,40 +458,27 @@ def green_tail_integral(params: LatticeParams, T: float,
     (equal to the Green function R_0(x,x) at T=0).  gamma > 0 requires
     gamma + s_h/2 > 1, and T = 0 also gamma < 1; the terms are those of
     :func:`_moment`.  Divergent combinations raise
-    :class:`DivergentIntegralError`.
+    :class:`DivergentIntegralError`.  The atoms s > S leave out
+    M(e) = (1-1/nu) q**(S+1)/(1-q), q = p**e/nu; the sum stops at the
+    least S where :func:`_left_out`'s k M(e) <= 1e-12.
     """
-    if T < 0:
-        raise DomainError("lower limit must be nonnegative")
     if gamma < 0:
         raise DomainError("gamma must be nonnegative")
-    nu, p, tol = params.nu, params.p, 1e-12
+    nu, p = params.nu, params.p
     coeff = 1.0 - 1.0 / nu
     if green_tail_divergent(params, gamma):
         raise DivergentIntegralError(
             f"divergent integral: gamma={gamma}, s_h={params.s_h:.6g} "
             f"(p*nu={p * nu:.6g})")
-    if T == 0.0 and gamma >= 1.0:
-        raise DivergentIntegralError(
-            "t**(-gamma) p(t,x,x) is not integrable at t=0 for gamma >= 1")
-    a = 1.0 - gamma
-    q = p ** (gamma - 1.0) / nu
-    if T == 0.0 and gamma > 0.0:
-        # every term is Gamma(1-gamma) p**(s(gamma-1)) nu**(-s): pure geometric
-        return coeff * math.gamma(a) / (1.0 - q)
-    # past atom `small` every x = p**s T <= 1, where Gamma(a, x) <= Gamma(a)
-    # for a > 0 and Gamma(a, x) <= x**b/(-b) + 1 for b < 0, b <= a: term s
-    # is at most coeff (T**b/(-b) q_b**s + q**s), q_b = p**(b-a)/nu
-    # (a = 0 takes b = -s_h/4, so q_b = nu**-1/2); gamma = 0 needs no `small`
-    small = _last_index(0, T, p, 1.0) if gamma > 0.0 else 0
-    if a > 0:
-        last = _last_index(0, coeff * math.gamma(a) / (1.0 - q), q, tol)
-    else:
-        b = a if a < 0 else -params.s_h / 4.0
-        q_b = p ** (b - a) / nu
-        last = max(_last_index(0, coeff * T**b / (-b * (1.0 - q_b)), q_b,
-                               tol / 2.0),
-                   _last_index(0, coeff / (1.0 - q), q, tol / 2.0))
-    return green_tail_partial_sum(params, T, gamma, max(small, last) + 1)
+    if T <= 0.0 and gamma > 0.0:
+        # T = 0: term s is atom 0's moment times q**s, q = p**(gamma-1)/nu,
+        # as Gamma(1-gamma, 0) = Gamma(1-gamma); _moment rejects the rest
+        return _moment(0.0, coeff, coeff, T, gamma) / (
+            1.0 - p ** (gamma - 1.0) / nu)
+    e, k = _left_out(T, gamma, params.s_h)
+    q = p**e / nu
+    last = _last_index(0, k * coeff / (1.0 - q), q, 1e-12)
+    return green_tail_partial_sum(params, T, gamma, last + 1)
 
 
 def green_tail_partial_sum(params: LatticeParams, T: float, gamma: float,

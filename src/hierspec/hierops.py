@@ -36,9 +36,6 @@ from .lattice import LatticeParams
 
 DENSE_CAP_DEFAULT = 4096
 FAST_CAP_DEFAULT = 2**22
-#: rounding allowed a Krylov p1 value outside [0, 1] in
-#: :func:`hierspec.annihilated.p1_small_t`
-KRYLOV_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -424,17 +421,19 @@ def expm_action(matvec, v: np.ndarray, ts: np.ndarray) -> np.ndarray:
     the Krylov space of v is exhausted, where the projection is exact (at
     most 41 steps on the volumes of
     :func:`hierspec.annihilated.p1_small_t`); a space not exhausted in 240
-    steps raises :class:`CertificationError`.  All t share the basis;
-    each t is then formed on its own, with the bits of a call for that t
-    alone.
+    steps raises :class:`CertificationError`.  The basis starts at 30 rows
+    and doubles when full.  All t share the basis; each t is then formed
+    on its own, with the bits of a call for that t alone.
     """
     beta = float(np.linalg.norm(v))
     if beta == 0.0:
         return np.zeros((len(ts), len(v)))
-    basis = np.empty((240, len(v)))
+    basis = np.empty((30, len(v)))
     basis[0] = v / beta
     alphas, betas = [], []
-    for j in range(len(basis)):
+    for j in range(240):
+        if j + 1 == len(basis) < 240:
+            basis = np.concatenate([basis, np.empty_like(basis)])
         betas.append(_lanczos_step(matvec, basis, j, alphas, betas))
         if betas[-1] < 1e-14:
             break

@@ -305,6 +305,20 @@ class TestTailIntegrals:
         with pytest.raises(DivergentIntegralError):
             ann.p1_weighted_tail_integral(PA_2_QUARTER, 0.0, 1.0, 2)
 
+    def test_tail_certification_failure(self, monkeypatch):
+        # roots left out weighing 1e-3 break every branch of the left-out
+        # rule: gamma = 0 (missing mass), below, at and above gamma = 1
+        real = ann._measure
+        monkeypatch.setattr(ann, "_measure",
+                            lambda *args: (*real(*args)[:2], 1e-3))
+        ann.p1_tail_integral.cache_clear()
+        ann.p1_weighted_tail_integral.cache_clear()
+        with pytest.raises(CertificationError, match="exceeds"):
+            ann.p1_tail_integral(PA_2_QUARTER, 2.0, 2)
+        for gamma in (0.5, 1.0, 1.5):
+            with pytest.raises(CertificationError, match="exceeds"):
+                ann.p1_weighted_tail_integral(PA_2_QUARTER, 2.0, gamma, 2)
+
     def test_negative_t_rejected(self):
         with pytest.raises(DomainError):
             ann.p1_tail_integral(PA_2_HALF, -1.0, 1)

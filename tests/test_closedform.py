@@ -566,6 +566,23 @@ class TestGreenTail:
         value = cf.green_tail_integral(pa, 1.0, gamma)
         assert abs(value - exact) <= 1e-12 + 1e-14 * exact
 
+    @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_4_HALF])
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.5, 3.0])
+    def test_gamma_at_least_one_against_explicit_sum(self, pa, gamma):
+        # gamma >= 1 is where the left-out rule cuts the series shortest;
+        # the oracle is every term s < 400 at 30 digits
+        import mpmath
+        with mpmath.workdps(30):
+            nu, p = mpmath.mpf(pa.nu), mpmath.mpf(pa.p)
+            a = 1 - mpmath.mpf(gamma)
+            for T in (0.7, 30.0, 300.0, 1e4):
+                exact = float((1 - 1 / nu) * mpmath.fsum(
+                    nu**-s * p ** (-a * s)
+                    * mpmath.gammainc(a, p**s * T, mpmath.inf)
+                    for s in range(400)))
+                value = cf.green_tail_integral(pa, T, gamma)
+                assert abs(value - exact) <= 1e-12 + 1e-14 * exact
+
     def test_divergence_signals(self):
         with pytest.raises(DivergentIntegralError):
             cf.green_tail_integral(PA_2_QUARTER, 1.0, 0.0)  # p*nu < 1
@@ -573,6 +590,14 @@ class TestGreenTail:
             cf.green_tail_integral(PA_2_HALF, 0.0, 1.2)  # not integrable at 0
         with pytest.raises(DivergentIntegralError):
             cf.green_tail_integral(PA_2_QUARTER, 1.0, 0.4)  # gamma + s_h/2 <= 1
+
+    def test_negative_lower_limit_rejected(self):
+        # _moment checks T for every gamma branch and the partial sums too
+        for gamma in (0.0, 0.5, 1.0, 1.5):
+            with pytest.raises(DomainError, match="nonnegative"):
+                cf.green_tail_integral(PA_4_HALF, -1.0, gamma)
+        with pytest.raises(DomainError, match="nonnegative"):
+            cf.green_tail_partial_sum(PA_4_HALF, -1.0, 0.0, 5)
 
     def test_partial_sums_grow_without_bound(self):
         pa = LatticeParams(2, 0.3)  # p*nu = 0.6 < 1

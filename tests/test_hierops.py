@@ -312,6 +312,19 @@ class TestIterative:
             exact = scipy.linalg.expm(t * m) @ v
             assert approx[i] == pytest.approx(exact, abs=1e-10)
 
+    def test_expm_action_basis_grows_as_needed(self):
+        # 14 distinct eigenvalues exhaust the Krylov space in 14 steps; a
+        # basis reserved at its 240-row maximum would hold 240 rows
+        n = 2**14
+        eigs = -np.repeat(np.linspace(0.0, 1.0, 14), -(-n // 14))[:n]
+        tracemalloc.start()
+        try:
+            expm_action(lambda x: eigs * x, np.ones(n), np.array([0.5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n * 8
+
     def test_expm_action_refuses_unexhausted_space(self):
         # 300 distinct eigenvalues and a start with no zero entry span a
         # Krylov space of dimension 300, beyond the 240 steps allowed
