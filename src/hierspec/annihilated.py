@@ -80,15 +80,13 @@ def _tilde(params: LatticeParams, den, r: int):
 
 def resolvent_tilde(params: LatticeParams, lam, r: int):
     """Rt_lam(r) = R_lam(x0, x) - R_lam(x, x); a finite sum, lam=0 allowed.
-    ``lam`` may be an array.  The atoms divide in complex arithmetic and
-    the head in lam's type: the rounding the golden CLI outputs record."""
+    ``lam`` may be an array; it divides in complex arithmetic, and adding
+    0.0 turns the -0.0 imaginary part of a real lam into +0.0."""
     _check_r(r)
     lam = _points(lam)
     _require_sector_off_atoms(params, lam, r)
-    head = params.nu ** -r / (lam + params.p ** (r - 1))
-    value = -_pole_sum(params, lambda loc: lam + 0j + loc, r - 1, head)
-    real = (lam.imag == 0.0) & (lam.real >= 0.0)
-    return _result(np.where(real, value.real + 0j, value)[()], complex)
+    return _result(_tilde(params, lambda loc: lam + 0j + loc, r) + 0.0,
+                   complex)
 
 
 def a_coefficient(params: LatticeParams, r: int) -> float:
@@ -213,8 +211,8 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     locs = np.array([_atom(params, s)[0] for s in range(n_roots + 1)])
     base, hi = locs[1:], -np.diff(locs)
     lo = np.full(n_roots, np.finfo(float).tiny)
-    last = np.arange(n_roots) + 1 + _last_index(0, 1.0 / (p * coeff), 1.0 / nu,
-                                                2.0**-60)
+    last = np.arange(n_roots) + 1 + _last_index(
+        0, (1.0 / (p * coeff), 1.0 / nu, 2.0**-60))
     with np.errstate(divide="ignore"):  # a midpoint may round onto the gap end
         while True:  # every open bracket shrinks, down to adjacent floats
             mid = np.where(hi > 4.0 * lo, np.sqrt(lo) * np.sqrt(hi),

@@ -72,11 +72,16 @@ def _result(value, kind=float):
     return value if isinstance(value, np.ndarray) else kind(value)
 
 
-def _last_index(first, scale, ratio, tol):
-    """Least s >= first with scale * ratio**(s+1) <= tol, for 0 < ratio < 1,
-    element by element; the 1e-9 slack can only add one term, where
-    rounding could leave the bound a hair above tol."""
-    n = np.floor(np.log(scale / tol + 1e-300) / -math.log(ratio) + 1e-9)
+def _last_index(first, *bounds):
+    """Least s >= first with scale * ratio**(s+1) <= tol for one of the
+    (scale, ratio, tol) ``bounds``, 0 < ratio < 1, element by element;
+    CertificationError if s - first exceeds _MAX_TERMS.  A scale / tol
+    that overflows certifies nothing, and the 1e-9 slack can only add one
+    term, where rounding could leave the bound a hair above tol."""
+    with np.errstate(over="ignore"):
+        n = reduce(np.minimum, [
+            np.floor(np.log(scale / tol + 1e-300) / -math.log(ratio) + 1e-9)
+            for scale, ratio, tol in bounds])
     if np.any(~(n - first <= _MAX_TERMS)):
         raise CertificationError(
             f"series needs more than {_MAX_TERMS} terms to certify")
@@ -154,8 +159,10 @@ def heat_kernel(params: LatticeParams, t, r: int = 0, tol: float = 1e-14):
     The series is truncated with a first-order tail: for s > S every
     exp(-p**s t) lies in [1 - p**s t, 1], so the remaining mass lies in
     [A - B, A] with the geometric sums A, B known exactly; adding
-    A - B/2 leaves a certified error B/2 <= tol (and makes small-t
-    values, t = 0 in particular, exact).  ``t`` may be an array.
+    A - min(A, B)/2 leaves a certified error min(A, B)/2 (and makes
+    small-t values, t = 0 in particular, exact).  S is the least index
+    where A <= tol or B <= 2 tol: at large t, where B grows with t, the
+    sum stops on A.  ``t`` may be an array.
     """
     t = _points(t)
     if np.any(t < 0):
@@ -166,8 +173,8 @@ def heat_kernel(params: LatticeParams, t, r: int = 0, tol: float = 1e-14):
     head = 0.0 if r == 0 else -np.exp(-p ** (r - 1) * t) * nu ** (-r)
     # past atom S: A = nu**-(S+1), B = gap_scale (p/nu)**(S+1)
     gap_scale = (1.0 - 1.0 / nu) * t * nu / (nu - p)
-    last = np.minimum(_last_index(r, 1.0, 1.0 / nu, tol),
-                      _last_index(r, gap_scale, p / nu, 2.0 * tol))
+    last = _last_index(r, (1.0, 1.0 / nu, tol),
+                       (gap_scale, p / nu, 2.0 * tol))
     value = _sum_atoms(params, _heat_term(t), r, last, head)
     tail_hi = np.power(float(nu), -(last + 1.0))
     tail_gap = gap_scale * np.power(p / nu, last + 1.0)
@@ -182,13 +189,21 @@ def heat_profile(params: LatticeParams, t, tol: float = 1e-12):
 
     The kernel itself decays like t**(-s_h/2), so its series tolerance
     is scaled down by that factor to keep the *profile* accurate to
-    ``tol`` at any t.  ``t`` may be an array.
+    ``tol``.  Where that tolerance falls below 1e-300, or t**(s_h/2)
+    overflows, the profile is refused with :class:`CertificationError`
+    naming the first such t.  ``t`` may be an array.
     """
     t = _points(t)
     if np.any(t <= 0):
         raise DomainError("heat profile needs t > 0")
-    scale = np.power(t, params.s_h / 2.0)
-    kernel_tol = np.maximum(tol / scale, 1e-300)
+    with np.errstate(over="ignore"):
+        scale = np.power(t, params.s_h / 2.0)
+    kernel_tol = tol / scale
+    refused = ~(kernel_tol >= 1e-300)
+    if np.any(refused):
+        raise CertificationError(
+            f"heat profile at t = {_first(t, refused)}: tol / t**(s_h/2) "
+            "is below 1e-300")
     return _result(scale * heat_kernel(params, t, 0, tol=kernel_tol))
 
 
@@ -209,8 +224,8 @@ def heat_exterior_mass(params: LatticeParams, t, volume_rank: int):
         raise DomainError("time must be nonnegative")
     nu, p = params.nu, params.p
     # the terms past atom S weigh nu**R nu**-(S+1) at most
-    last = _last_index(volume_rank + 1, float(nu) ** volume_rank, 1.0 / nu,
-                       1e-14)
+    last = _last_index(volume_rank + 1,
+                       (float(nu) ** volume_rank, 1.0 / nu, 1e-14))
     rest = _sum_atoms(params, _heat_term(t), volume_rank + 1, last,
                       np.zeros(np.shape(t)))
     value = (1.0 - (1.0 - 1.0 / nu) * np.exp(-(p**volume_rank) * t)
@@ -265,7 +280,7 @@ def resolvent(params: LatticeParams, lam, r: int = 0, tol: float = 1e-14):
     head = 0.0 if r == 0 else -1.0 / ((lam + p ** (r - 1)) * nu**r)
     # on the sector |lam + p**s| >= |lam| / sqrt(2), so the terms past
     # atom S add up to at most sqrt(2)/|lam| nu**-(S+1)
-    last = _last_index(r, math.sqrt(2.0) / abs(lam), 1.0 / nu, tol)
+    last = _last_index(r, (math.sqrt(2.0) / abs(lam), 1.0 / nu, tol))
     value = _sum_atoms(params, lambda s, loc, w: w / (lam + loc), r, last, head)
     return _result(value + 0j, complex)
 
@@ -477,7 +492,7 @@ def green_tail_integral(params: LatticeParams, T: float,
             1.0 - p ** (gamma - 1.0) / nu)
     e, k = _left_out(T, gamma, params.s_h)
     q = p**e / nu
-    last = _last_index(0, k * coeff / (1.0 - q), q, 1e-12)
+    last = _last_index(0, (k * coeff / (1.0 - q), q, 1e-12))
     return green_tail_partial_sum(params, T, gamma, last + 1)
 
 

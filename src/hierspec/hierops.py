@@ -208,27 +208,17 @@ class HaarBasis:
 
     Coefficient layout: index 0 is the constant coefficient, followed by
     detail blocks of rank N, N-1, ..., 1 (coarse to fine), each block in
-    cube order with nu-1 entries per cube.  Both transforms cost
-    O(nu**N * N); ``forward`` and ``inverse`` round-trip to ~1e-12.
+    cube order with nu-1 entries per cube.  This is the order of
+    :func:`dirichlet_spectrum` reversed, so ``eigenvalues`` is read from
+    it, the one place the volume spectrum is stated.  Both transforms
+    cost O(nu**N * N); ``forward`` and ``inverse`` round-trip to ~1e-12.
     """
 
     def __init__(self, grid: VolumeGrid):
         self.grid = grid
         self._h = _helmert(grid.params.nu)
-        nu, p, N = grid.params.nu, grid.params.p, grid.depth
-        eigs = np.empty(grid.n_sites)
-        eigs[0] = -grid.bottom_eigenvalue()
-        ranks = np.zeros(grid.n_sites, dtype=np.int64)
-        pos = 1
-        for k in range(N, 0, -1):
-            count = nu ** (N - k) * (nu - 1)
-            eigs[pos:pos + count] = -(p ** (k - 1))
-            ranks[pos:pos + count] = k
-            pos += count
         #: eigenvalue of the Laplacian for each coefficient index
-        self.eigenvalues = eigs
-        #: detail rank per coefficient index (0 marks the constant vector)
-        self.detail_ranks = ranks
+        self.eigenvalues = -dirichlet_spectrum(grid).expand()[::-1]
 
     def forward(self, field) -> np.ndarray:
         """Coefficients of a field (or matrix of column fields)."""
@@ -268,17 +258,10 @@ class HaarBasis:
         coeffs = self.forward(field)
         return self.inverse((coeffs.T * self.eigenvalues).T)
 
-    def solve_shifted(self, rhs, shift: float) -> np.ndarray:
-        """Solve (shift - L) u = rhs exactly through the eigenbasis."""
-        coeffs = self.forward(rhs)
-        denom = shift - self.eigenvalues
-        if np.any(np.abs(denom) < 1e-300):
-            raise DomainError("shift coincides with an eigenvalue")
-        return self.inverse((coeffs.T / denom).T)
-
     def green_by_distance(self, shift: float) -> np.ndarray:
         """Green function (shift - L)^(-1)(x, y) as a table over the
-        distance d = d(x, y) = 0..N.
+        distance d = d(x, y) = 0..N, solved exactly through the eigenbasis;
+        a shift on an eigenvalue raises :class:`DomainError`.
 
         L's entries depend only on d(x,y) and the volume's automorphisms
         act transitively on its sites, so one solve against delta_0, read
@@ -286,9 +269,12 @@ class HaarBasis:
         origin), gives every entry.
         """
         nu, N = self.grid.params.nu, self.grid.depth
+        denom = shift - self.eigenvalues
+        if np.any(np.abs(denom) < 1e-300):
+            raise DomainError("shift coincides with an eigenvalue")
         delta0 = np.zeros(self.grid.n_sites)
         delta0[0] = 1.0
-        column = self.solve_shifted(delta0, shift)
+        column = self.inverse(self.forward(delta0) / denom)
         return column[np.r_[0, nu ** np.arange(N)]]
 
 
@@ -340,22 +326,21 @@ def dirichlet_spectrum(grid: VolumeGrid) -> SpectrumSummary:
 
 def dense_spectrum(grid: VolumeGrid) -> SpectrumSummary:
     """Spectrum of -L by dense symmetric eigendecomposition (volume
-    within the dense cap), eigenvalues within 1e-8 grouped into one
-    entry at their mean.  The one n x n array, n**2 * 8 bytes, is
-    negated in place and overwritten by LAPACK."""
+    within the dense cap).  Eigenvalues in descending order split into
+    groups where consecutive ones differ by more than 2 n u max|lam|,
+    u the unit roundoff: Weyl's scale for LAPACK's error, as ||-L||_2 is
+    its top eigenvalue.  Each group is one entry at its mean.  The one
+    n x n array, n**2 * 8 bytes, is negated in place and overwritten by
+    LAPACK."""
     m = assemble_dense(grid)
     np.negative(m, out=m)
     # m is exactly symmetric, so m.T is m in Fortran order: no f2py copy
     vals = scipy.linalg.eigvalsh(m.T, overwrite_a=True)[::-1]
-    entries = []
-    i = 0
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and vals[i] - vals[j + 1] <= 1e-8:
-            j += 1
-        entries.append((float(np.mean(vals[i:j + 1])), j - i + 1))
-        i = j + 1
-    return SpectrumSummary(entries=tuple(entries), provenance="dense")
+    scale = len(vals) * np.finfo(float).eps * np.max(np.abs(vals))  # 2 n u
+    groups = np.split(vals, np.flatnonzero(-np.diff(vals) > scale) + 1)
+    return SpectrumSummary(
+        entries=tuple((float(np.mean(g)), len(g)) for g in groups),
+        provenance="dense")
 
 
 # ---------------------------------------------------------------------------

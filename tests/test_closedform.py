@@ -8,6 +8,7 @@ Dirichlet restriction.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ import scipy.linalg
 from scipy.integrate import quad
 
 import hierspec.closedform as cf
-from hierspec.errors import (DivergentIntegralError, DomainError,
-                             SpectrumProximityError)
+from hierspec.errors import (CertificationError, DivergentIntegralError,
+                             DomainError, SpectrumProximityError)
 from hierspec.hierops import VolumeGrid, assemble_dense, dirichlet_spectrum
 from hierspec.lattice import LatticeParams
 
@@ -118,6 +119,14 @@ class TestHeatKernel:
         assert abs(total - cf.heat_kernel(pa, t + s, hier_distance_xz(x, z)))\
             <= remainder + 1e-9
 
+    @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_4_HALF])
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_large_t(self, pa, r):
+        # the zeroth-order tail bound certifies where the first-order one
+        # would need more than _MAX_TERMS atoms
+        for t in (1e295, 1e300):
+            assert 0.0 <= cf.heat_kernel(pa, t, r) <= 1e-14
+
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             cf.heat_kernel(PA_2_HALF, -0.1, 0)
@@ -194,6 +203,23 @@ class TestHeatProfile:
                    - cf.heat_profile(PA_4_HALF, t / PA_4_HALF.p))
                for t in (1e2, 1e4)]
         assert res[1] <= res[0]
+
+    @pytest.mark.parametrize("t", [1e100, 1e140])
+    def test_large_t_against_log_periodicity(self, t):
+        # F(t/p) = F(t) + (nu-1) t**(s_h/2) e**(-t/p), and the last term is
+        # 0.0 for t >= 2e3: F(t) = F(t 2**-k) with t 2**-k in [2e3, 5e3]
+        k = math.ceil(math.log2(t / 5e3))
+        assert 2e3 <= t * 2.0**-k <= 5e3
+        assert abs(cf.heat_profile(PA_4_HALF, t)
+                   - cf.heat_profile(PA_4_HALF, t * 2.0**-k)) <= 2e-12
+
+    @pytest.mark.parametrize("pa,t", [(PA_4_HALF, 1e150),
+                                      (LatticeParams(2, 0.99), 1e5)])
+    def test_refused_where_kernel_tolerance_underflows(self, pa, t):
+        # tol / t**(s_h/2) < 1e-300 at (4, 1/2); t**(s_h/2) overflows at
+        # (2, 0.99), where s_h/2 is about 69
+        with pytest.raises(CertificationError, match=re.escape(f"t = {t}:")):
+            cf.heat_profile(pa, np.array([10.0, t]))
 
     def test_bounded_at_critical_dimension(self):
         vals = [cf.heat_profile(PA_2_HALF, t)
@@ -569,17 +595,41 @@ class TestGreenTail:
     @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_4_HALF])
     @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.5, 3.0])
     def test_gamma_at_least_one_against_explicit_sum(self, pa, gamma):
-        # gamma >= 1 is where the left-out rule cuts the series shortest;
-        # the oracle is every term s < 400 at 30 digits
+        # gamma >= 1 is where the left-out rule cuts the series shortest.
+        # Oracle, at 30 digits: the terms q**s Gamma(a, x), x = p**s T,
+        # q = p**(gamma-1)/nu, in mpmath while x >= 1e-20; past them the
+        # small-x expansion of Gamma(a, x) in closed form.  Its powers
+        # x**(a+n) < 1 are summed geometrically (q**s x**(a+n) =
+        # nu**-s p**(n s) T**(a+n)); at integer a = -m the x**0 order is
+        # (-1)**m/m! (psi(m+1) - ln x), else Gamma(a).  What is left out,
+        # |q**s x**(a+n)| / (n! |a+n|) with n >= 1, |a+n| >= 1/2 at these
+        # gamma, adds up to at most 2e nu**-S T**a 1e-20 / (1 - p/nu)
+        # < 1e-18 over s >= S.
         import mpmath
         with mpmath.workdps(30):
             nu, p = mpmath.mpf(pa.nu), mpmath.mpf(pa.p)
             a = 1 - mpmath.mpf(gamma)
+            q = p ** (gamma - 1) / nu
+            m = int(mpmath.ceil(-a))  # the powers x**(a+n) < 1: n < m
             for T in (0.7, 30.0, 300.0, 1e4):
-                exact = float((1 - 1 / nu) * mpmath.fsum(
-                    nu**-s * p ** (-a * s)
-                    * mpmath.gammainc(a, p**s * T, mpmath.inf)
-                    for s in range(400)))
+                total, s = mpmath.mpf(0), 0
+                while p**s * T >= mpmath.mpf("1e-20"):
+                    total += q**s * mpmath.gammainc(a, p**s * T, mpmath.inf)
+                    s += 1
+
+                def geo(ratio, times_j=False):  # sum_{j >= s} (j) ratio**j
+                    return ratio**s * (s / (1 - ratio) + ratio / (1 - ratio)**2
+                                       if times_j else 1 / (1 - ratio))
+                total -= mpmath.fsum((-1) ** n * T ** (a + n) * geo(p**n / nu)
+                                     / (mpmath.factorial(n) * (a + n))
+                                     for n in range(m))
+                if a == -m:
+                    total += (-1) ** m / mpmath.factorial(m) * (
+                        (mpmath.digamma(m + 1) - mpmath.log(T)) * geo(q)
+                        - mpmath.log(p) * geo(q, times_j=True))
+                else:
+                    total += mpmath.gamma(a) * geo(q)
+                exact = float((1 - 1 / nu) * total)
                 value = cf.green_tail_integral(pa, T, gamma)
                 assert abs(value - exact) <= 1e-12 + 1e-14 * exact
 

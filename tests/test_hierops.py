@@ -212,8 +212,11 @@ class TestHaar:
         g = grid_of(nu, 0.5, depth)
         basis = HaarBasis(g)
         vectors = basis.inverse(np.eye(g.n_sites))
-        for idx in range(g.n_sites):
-            k = int(basis.detail_ranks[idx])
+        # the documented layout: the constant (rank 0), then detail blocks
+        # of rank N, ..., 1 with nu**(N-k) (nu-1) coefficients each
+        ranks = [0] + [k for k in range(depth, 0, -1)
+                       for _ in range(nu ** (depth - k) * (nu - 1))]
+        for idx, k in enumerate(ranks):
             v = vectors[:, idx]
             if k == 0:
                 assert np.ptp(v) == pytest.approx(0.0, abs=1e-14)
@@ -225,15 +228,6 @@ class TestHaar:
             for s in cube_sites(home, nu):
                 sub = list(cube_sites(cube_of(s, k - 1, nu), nu))
                 assert np.ptp(v[sub]) == pytest.approx(0.0, abs=1e-13)
-
-    def test_solve_shifted(self):
-        g = grid_of(2, 0.5, 6)
-        basis = HaarBasis(g)
-        m = assemble_dense(g)
-        rng = np.random.default_rng(9)
-        b = rng.standard_normal(g.n_sites)
-        u = basis.solve_shifted(b, 0.7)
-        assert 0.7 * u - m @ u == pytest.approx(b, abs=1e-11)
 
     @pytest.mark.parametrize("nu,p,depth", [(2, 0.5, 8), (3, 0.3, 5),
                                             (4, 0.5, 5), (2, 0.25, 10)])
@@ -252,17 +246,20 @@ class TestHaar:
         assert table.shape == (depth + 1,)
         assert np.max(np.abs(table - closed)) <= 1e-13 * closed[0]
 
+    def test_green_by_distance_refuses_an_eigenvalue(self):
+        with pytest.raises(DomainError, match="coincides"):
+            HaarBasis(grid_of(2, 0.5, 3)).green_by_distance(-0.5)
+
     @pytest.mark.parametrize("nu,p,depth", [(2, 0.5, 8), (3, 0.3, 5)])
     def test_green_by_distance_away_from_origin(self, nu, p, depth):
         g = grid_of(nu, p, depth)
-        basis = HaarBasis(g)
-        table = basis.green_by_distance(0.3)
+        table = HaarBasis(g).green_by_distance(0.3)
+        green = np.linalg.solve(0.3 * np.eye(g.n_sites) - assemble_dense(g),
+                                np.eye(g.n_sites))
         rng = np.random.default_rng(17)
         for _ in range(10):
             x, y = (int(s) for s in rng.integers(1, g.n_sites, size=2))
-            delta = np.zeros(g.n_sites)
-            delta[x] = 1.0
-            assert basis.solve_shifted(delta, 0.3)[y] == pytest.approx(
+            assert green[x, y] == pytest.approx(
                 table[hier_distance(x, y, nu)], abs=1e-13 * table[0])
 
 
@@ -278,12 +275,19 @@ class TestSpectra:
         assert summary.total_multiplicity == nu**depth
 
     def test_three_routes_agree(self):
-        g = grid_of(3, 0.3, 4)
-        closed = np.sort(dirichlet_spectrum(g).expand())
-        dense = np.sort(dense_spectrum(g).expand())
-        haar = np.sort(-HaarBasis(g).eigenvalues)
-        assert dense == pytest.approx(closed, abs=1e-10)
-        assert haar == pytest.approx(closed, abs=1e-12)
+        # p = 0.1 and 0.05 put the smallest eigenvalues within 1e-8 of each
+        # other; dense groups them apart at LAPACK's error scale 2 n u
+        # max|lam| (max|lam| = 1 here)
+        for nu, p, depth in [(2, 0.05, 10), (2, 0.1, 11)]:
+            g = grid_of(nu, p, depth)
+            closed = dirichlet_spectrum(g)
+            dense = dense_spectrum(g).entries
+            assert len(dense) == len(closed.entries) == depth + 1
+            assert [m for _, m in dense] == [m for _, m in closed.entries]
+            for (value, _), (exact, _) in zip(dense, closed.entries):
+                assert abs(value - exact) <= 2 * g.n_sites * 2.0**-53
+            haar = np.sort(-HaarBasis(g).eigenvalues)
+            assert np.array_equal(haar, np.sort(closed.expand()))
 
     def test_strictly_decreasing_enforced(self):
         with pytest.raises(DomainError):
