@@ -94,12 +94,14 @@ def a_coefficient(params: LatticeParams, r: int) -> float:
     return -2.0 * resolvent_tilde(params, 0.0, r).real
 
 
+@lru_cache(maxsize=64)
 def annihilated_resolvent_zero(params: LatticeParams, r: int) -> float:
     """lam -> 0 limit of the annihilated diagonal resolvent.
 
     Equals a(r) for p*nu <= 1; in the transient regime the finite
     Green function keeps the rank-one correction alive:
-    a(r) - Rt_0(r)**2 / R_0(x,x).
+    a(r) - Rt_0(r)**2 / R_0(x,x).  Memoized per (params, r), as every
+    time integral over a measure reads it.
     """
     _check_r(r)
     tilde0 = resolvent_tilde(params, 0.0, r).real
@@ -183,6 +185,55 @@ _ROUNDING = 1e-14  # relative rounding allowance of a sum over the measure
 _TOL = 1e-10  # certified absolute error of p1_diag and p1_tail_integral
 
 
+def _gap_roots(params: LatticeParams, base, gap, last):
+    """Per gap, the y in (0, gap) where the float pole sum
+    f(y) = sum_{s <= last} w_s / ((p**s - base) - y) turns positive.
+
+    Each operation of f rounds monotonically in y, so the adjacent floats
+    lo < hi with f(lo) <= 0 < f(hi) do not depend on the search, and
+    y = (lo + hi)/2 rounds onto one of them.  Brackets are bisected
+    geometrically while they span a factor 4, then take Newton steps in
+    1/y (atom j+1's pole -w/y is linear there) from their midpoint in 1/y,
+    with y**2 f'(y) = sum w_s / (((p**s - base) - y)/y)**2 from the same
+    pass.  A step moves at least one float; one that does not land inside
+    the open bracket is replaced by its midpoint.  Only open brackets are
+    evaluated.
+    """
+    lo, hi = np.full(len(base), np.finfo(float).tiny), gap.copy()
+
+    def split(i, x, value):  # narrow brackets i at x by the sign of f(x)
+        up = value > 0.0
+        hi[i[up]], lo[i[~up]] = x[up], x[~up]
+        return up
+
+    while True:
+        i = np.flatnonzero(hi > 4.0 * lo)
+        if not i.size:
+            break
+        x, b = np.sqrt(lo[i]) * np.sqrt(hi[i]), base[i]
+        split(i, x, _pole_sum(params, lambda loc: (loc - b) - x, last[i]))
+    i, x = np.arange(len(base)), 2.0 * lo / (lo + hi) * hi
+    # far atoms' (d/x)**2 may overflow to inf; 1 + y f/(y**2 f') may be 0
+    with np.errstate(over="ignore", divide="ignore"):
+        while i.size:
+            b, x1 = base[None, i], x[None]  # one row each: f and the slope
+
+            def term(s, loc, w):
+                d = (loc - b) - x1
+                return np.concatenate([w / d, w / (d / x1) ** 2], axis=-2)
+
+            value, slope = _sum_atoms(params, term, 0, last[i],
+                                      np.zeros((2, len(i))))
+            up = split(i, x, value)
+            z = x / (1.0 + value * x / slope)
+            z = np.where(z == x, np.nextafter(x, np.where(up, -1.0, 1.0)), z)
+            low, high = lo[i], hi[i]
+            z = np.where((low < z) & (z < high), z, (low + high) / 2.0)
+            open_ = (low < z) & (z < high)
+            i, x = i[open_], z[open_]
+    return (lo + hi) / 2.0
+
+
 @lru_cache(maxsize=64)
 def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     """(mu, c, tail): the measure's atoms and roots mu_j, j < J, weights, and
@@ -193,8 +244,8 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     P_j = sum_{s <= j} w_s / p**s.  These bounds b_j on c_j shrink by 1/nu
     per step, so sum_{j >= J} c_j <= b_J nu/(nu-1).  A root is solved for
     y = mu_j - p**(j+1) (atom j+1 then gives -y exactly; y/mu_j falls like
-    (p nu)**-j when transient) by bisecting all gaps at once, geometrically
-    while a bracket spans a factor 4, with one array pass per step.  Atoms
+    (p nu)**-j when transient) down to adjacent floats across the sign
+    change of the pole sum, all gaps at once (:func:`_gap_roots`).  Atoms
     past j+1+K add < 2**-60 of atom j+1's share at the end of the gap.
     """
     nu, p = params.nu, params.p
@@ -209,19 +260,10 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
         if tail <= tail_weight or p ** (n_roots + 2) < 1e-280:
             break
     locs = np.array([_atom(params, s)[0] for s in range(n_roots + 1)])
-    base, hi = locs[1:], -np.diff(locs)
-    lo = np.full(n_roots, np.finfo(float).tiny)
+    base = locs[1:]
     last = np.arange(n_roots) + 1 + _last_index(
         0, (1.0 / (p * coeff), 1.0 / nu, 2.0**-60))
-    with np.errstate(divide="ignore"):  # a midpoint may round onto the gap end
-        while True:  # every open bracket shrinks, down to adjacent floats
-            mid = np.where(hi > 4.0 * lo, np.sqrt(lo) * np.sqrt(hi),
-                           (lo + hi) / 2.0)
-            if np.all((mid <= lo) | (mid >= hi)):
-                break
-            up = _pole_sum(params, lambda loc: (loc - base) - mid, last) > 0.0
-            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-    y = (lo + hi) / 2.0
+    y = _gap_roots(params, base, -np.diff(locs), last)
     with np.errstate(over="ignore"):  # far atoms' (d/y)**2 may overflow to inf
         slope = _pole_sum(params, lambda loc: (((loc - base) - y) / y) ** 2,
                           last)  # y**2 * -R'(-mu), which does not underflow

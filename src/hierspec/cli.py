@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -311,6 +312,7 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@cache  # built on the first main() call, then shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hierspec",

@@ -102,21 +102,26 @@ def apply_laplacian(field, grid: VolumeGrid, mode: str = "fast") -> np.ndarray:
 def _apply_fast(cols: np.ndarray, grid: VolumeGrid) -> np.ndarray:
     nu, p, N = grid.params.nu, grid.params.p, grid.depth
     m = cols.shape[1]
-    # upward sweep: sums over cubes of every rank
-    sums = []  # sums[r-1] has shape (nu**(N-r), m)
-    s = cols
+    # upward sweep: sums over cubes of every rank, each cube's nu children
+    # added in order (numpy's pairwise order for nu >= 8 would differ)
+    sums = [cols]  # sums[r] has shape (nu**(N-r), m)
     for _ in range(N):
-        s = s.reshape(-1, nu, m).sum(axis=1)
+        child = sums[-1].reshape(-1, nu, m)
+        s = child[:, 0] + child[:, 1]
+        for k in range(2, nu):
+            s += child[:, k]
         sums.append(s)
-    total = sums[-1]  # shape (1, m)
-    # downward sweep: accumulate a_r * S_r / nu**r from coarse to fine
-    acc = grid.tail_weight() * total
+    # downward sweep: accumulate a_r * S_r / nu**r from coarse to fine, in
+    # place of the sums (fresh pages of large temporaries cost more than
+    # the arithmetic), each cube's value broadcast over its nu children
+    acc = grid.tail_weight() * sums[N]  # shape (1, m)
     for r in range(N, 0, -1):
         a_r = (1.0 - p) * p ** (r - 1)
-        acc = acc + (a_r / nu**r) * sums[r - 1]
-        if r > 1:
-            acc = np.repeat(acc, nu, axis=0)
-    return np.repeat(acc, nu, axis=0) - cols
+        cubes = sums[r].reshape(len(acc), -1, m)  # grouped by parent cube
+        cubes *= a_r / nu**r
+        cubes += acc[:, None]
+        acc = sums[r]
+    return (acc[:, None] - cols.reshape(len(acc), nu, m)).reshape(-1, m)
 
 
 def _apply_naive(cols: np.ndarray, grid: VolumeGrid) -> np.ndarray:

@@ -10,10 +10,12 @@ genuine bound state at working precision.
 The volume Green function G_tau = (tau - L)^(-1) depends only on the
 distance of its two sites; :meth:`HaarBasis.green_by_distance` gives
 the table G_tau(d), d = 0..N, from one solve.  The Birman-Schwinger
-count, the rank-one threshold 1/G_0(0) and the secular equation
-c G_lam(0) = 1 all read it.  :meth:`Potential.diagonal` is the one
-place where a potential becomes the volume diagonal of L + V, behind
-the one check that its sites lie in the volume.  Two solver paths:
+count and the rank-one threshold 1/G_0(0) read it; the secular equation
+c G_lam(0) = 1 takes Newton steps on 1/G_lam(0) from lam = 0, with
+G_lam(0) summed over the Haar coefficients of delta_0.
+:meth:`Potential.diagonal` is the one place where a potential becomes
+the volume diagonal of L + V, behind the one check that its sites lie
+in the volume.  Two solver paths:
 
 * dense (volume within the cap): full symmetric eigendecomposition;
 * iterative (large volumes): the count above the threshold is first
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError
+from .errors import CertificationError, DomainError
 from .hierops import (DENSE_CAP_DEFAULT, FAST_CAP_DEFAULT, HaarBasis,
                       VolumeGrid, apply_laplacian, assemble_dense,
                       hier_distance_matrix, lanczos_extreme)
@@ -41,6 +43,7 @@ from .lattice import LatticeParams, Site, cube_of, cube_sites, hier_distance, \
     rho_of_distance
 
 POSITIVITY_THRESHOLD = 1e-12
+_SECULAR_STEPS = 100  # Newton steps allowed for the secular equation
 
 
 @dataclass(frozen=True)
@@ -207,8 +210,8 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
         return apply_laplacian(v, grid, mode="fast") + diag * v
 
     vals, vecs = lanczos_extreme(matvec, grid.n_sites, n_expected)
-    resid = np.array([np.linalg.norm(matvec(vecs[:, i]) - vals[i] * vecs[:, i])
-                      for i in range(n_expected)])
+    resid = np.linalg.norm(apply_laplacian(vecs, grid, mode="fast")
+                           + diag[:, None] * vecs - vals * vecs, axis=0)
     pos = vals[vals > POSITIVITY_THRESHOLD]
     if len(pos) != n_expected:
         raise DomainError(
@@ -244,20 +247,36 @@ def volume_coupling_threshold(grid: VolumeGrid) -> float:
 
 def secular_eigenvalue(grid: VolumeGrid, site: Site, coupling: float) -> float:
     """Positive eigenvalue of L + c*delta_site from the secular equation
-    c G_lam(0) = 1 on the finite volume (exact, by root finding).
+    c G_lam(0) = 1 on the finite volume.
 
-    The diagonal G_lam(0) of the volume Green function does not depend
-    on the site, so ``site`` is only checked to lie in the volume.
+    G_lam(0) = sum_i w_i / (lam - e_i), with e_i the Laplacian's
+    eigenvalues and w_i the squared Haar coefficients of delta_0, is a
+    Stieltjes function of lam > max e_i, so h(lam) = 1/G_lam(0) - c is
+    increasing and concave there.  Newton's iterates on h from lam = 0,
+    where h < 0 above the threshold (the one check of
+    :func:`volume_coupling_threshold`), rise to the root without passing
+    it; the last one before a step stops increasing lam is returned, and
+    more than ``_SECULAR_STEPS`` steps raise :class:`CertificationError`.
+    G_lam(0) does not depend on the site, so ``site`` is only checked to
+    lie in the volume.
     """
-    from scipy.optimize import brentq
     if not 0 <= site < grid.n_sites:
         raise DomainError(f"site {site} outside the volume")
     basis = HaarBasis(grid)
-
-    def green(lam):
-        return float(basis.green_by_distance(lam)[0])
-
-    if coupling <= 1.0 / green(0.0):
+    if not coupling > 1.0 / float(basis.green_by_distance(0.0)[0]):  # or nan
         raise DomainError("coupling below the finite-volume threshold")
-    return brentq(lambda lam: coupling * green(lam) - 1.0, 1e-300,
-                  coupling + 1.0, xtol=1e-15, rtol=8.881784197001252e-16)
+    delta0 = np.zeros(grid.n_sites)
+    delta0[0] = 1.0
+    weights = basis.forward(delta0) ** 2
+    lam = 0.0
+    for _ in range(_SECULAR_STEPS):
+        gaps = lam - basis.eigenvalues
+        terms = weights / gaps
+        green = float(np.sum(terms))
+        # h / h' = G (1 - c G) / -G', with -G' = sum w_i / (lam - e_i)**2
+        step = green * (1.0 - coupling * green) / float(np.sum(terms / gaps))
+        if not lam - step > lam:
+            return lam
+        lam -= step
+    raise CertificationError(f"secular equation: Newton did not settle in "
+                             f"{_SECULAR_STEPS} steps")

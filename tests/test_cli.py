@@ -337,6 +337,20 @@ class TestImports:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
 
+    def test_scipy_optimize_not_loaded(self):
+        # the secular equation takes Newton steps of its own
+        code = ("import sys, hierspec, hierspec.cli\n"
+                "from hierspec.hierops import VolumeGrid\n"
+                "from hierspec.lattice import LatticeParams\n"
+                "from hierspec.schrodinger import secular_eigenvalue\n"
+                "grid = VolumeGrid(LatticeParams(4, 0.5), 5)\n"
+                "assert secular_eigenvalue(grid, 3, 1.0) > 0.0\n"
+                "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
 
 class TestInProcessMain:
     @pytest.mark.parametrize("argv, name", [
@@ -364,3 +378,28 @@ class TestInProcessMain:
         capsys.readouterr()
         assert main(["ids", "--nu", "2", "--p", "0.5", "--lam", "0"]) == 1
         capsys.readouterr()
+
+    def test_reruns_on_the_cached_parser_are_identical(self, capsys):
+        # one parser serves every call of a process: interleaved commands
+        # print what a fresh process prints
+        tail = ["annihilated", "--nu", "2", "--p", "0.25", "--mode", "tail",
+                "--r", "2", "--t", "0,0.5,3"]
+        heat = ["heat", "--nu", "4", "--p", "0.5", "--r", "1", "--t", "1:9:5"]
+        outs = []
+        for argv in (tail, heat, tail, heat):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        for argv, first, again in ((tail, *outs[::2]), (heat, *outs[1::2])):
+            fresh = subprocess.run(RUN + argv, capture_output=True,
+                                   timeout=120).stdout
+            assert first == again and first.encode() == fresh
+
+    def test_usage_error_after_a_success_exits_one(self, capsys):
+        heat = ["heat", "--nu", "2", "--p", "0.5", "--t", "1"]
+        assert main(heat) == 0
+        capsys.readouterr()
+        for argv in (heat + ["--bogus"], heat[:3], ["bogus"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+        assert main(heat) == 0

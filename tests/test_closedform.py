@@ -426,39 +426,59 @@ class TestSumAtoms:
             assert np.array_equal(mu, mu_ref) and np.array_equal(c, c_ref)
             assert tail == tail_ref
 
+    @staticmethod
+    def bisected_roots(params, base, gap, last):
+        """Reference for annihilated._gap_roots: every gap bisected at once
+        down to adjacent floats, geometrically while a bracket spans a
+        factor 4, one array pass per step."""
+        import hierspec.annihilated as ann
+        lo, hi = np.full(len(base), np.finfo(float).tiny), gap
+        with np.errstate(divide="ignore"):  # a midpoint may hit the gap end
+            while True:
+                mid = np.where(hi > 4.0 * lo, np.sqrt(lo) * np.sqrt(hi),
+                               (lo + hi) / 2.0)
+                if np.all((mid <= lo) | (mid >= hi)):
+                    break
+                up = ann._pole_sum(params, lambda loc: (loc - base) - mid,
+                                   last) > 0.0
+                lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        return (lo + hi) / 2.0
+
     @pytest.mark.parametrize("r", [1, 3])
     def test_measure_brackets_end_on_adjacent_floats(self, monkeypatch, r):
-        # replay the bisection from the pole sums it asked for, then check
-        # that each bracket is two adjacent floats across a sign change
-        import inspect
+        # each root y = mu - p**(j+1) lies on the sign change of the float
+        # pole sum between y and a neighbouring float, and the measure has
+        # the bits of one whose roots are bisected
         import hierspec.annihilated as ann
-        pa, pole_sum, calls = PA_2_QUARTER, ann._pole_sum, []
+        gap_roots, calls = ann._gap_roots, []
 
-        def spy(params, den, last, head=0.0):
-            value = pole_sum(params, den, last, head)
-            calls.append((inspect.getclosurevars(den).nonlocals, last, value))
-            return value
+        def spy(*args):
+            calls.append((args, gap_roots(*args)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(ann, "_pole_sum", spy)
+        for pa in (PA_2_QUARTER, PA_4_HALF, LatticeParams(3, 0.3),
+                   LatticeParams(2, 0.45)):
+            for tail in (1e-40, 1e-300):
+                with monkeypatch.context() as m:
+                    m.setattr(ann, "_gap_roots", spy)
+                    ann._measure.cache_clear()
+                    mu, c, tail_weight = ann._measure(pa, r, tail)
+                (_, base, gap, last), y = calls.pop()
+                assert np.array_equal(mu[r:], base + y)
+                assert np.all((0.0 < y) & (y < gap))
+                with np.errstate(divide="ignore"):
+                    up = [ann._pole_sum(pa, lambda loc: (loc - base) - z,
+                                        last) > 0.0
+                          for z in (np.nextafter(y, 0.0), y,
+                                    np.nextafter(y, 1.0))]
+                assert np.all(np.where(up[1], ~up[0], up[2]))
+                with monkeypatch.context() as m:
+                    m.setattr(ann, "_gap_roots", self.bisected_roots)
+                    ann._measure.cache_clear()
+                    mu_ref, c_ref, tail_ref = ann._measure(pa, r, tail)
+                assert np.array_equal(mu, mu_ref)
+                assert np.array_equal(c, c_ref) and tail_weight == tail_ref
         ann._measure.cache_clear()
-        mu, _, _ = ann._measure(pa, r)
-        ann._measure.cache_clear()
-        bisection = [call for call in calls if "mid" in call[0]]
-        base, last = bisection[0][0]["base"], bisection[0][1]
-        lo = np.full(len(base), np.finfo(float).tiny)
-        hi = np.array([cf._atom(pa, j)[0] for j in range(len(base))]) - base
-        for env, _, value in bisection:
-            up = value > 0.0
-            lo, hi = np.where(up, lo, env["mid"]), np.where(up, env["mid"], hi)
-        y = next(env["y"] for env, _, _ in calls if "y" in env)
-        assert np.array_equal((lo + hi) / 2.0, y)
-        assert np.array_equal(mu[r:], base + y)
-        assert np.array_equal(np.nextafter(lo, np.inf), hi)
-        with np.errstate(divide="ignore"):
-            assert np.all(pole_sum(pa, lambda loc: (loc - base) - lo, last)
-                          <= 0.0)
-            assert np.all(pole_sum(pa, lambda loc: (loc - base) - hi, last)
-                          > 0.0)
 
     def test_memory_is_a_few_grids(self):
         import tracemalloc

@@ -56,6 +56,41 @@ class TestApply:
             scale = np.max(np.abs(naive))
             assert np.max(np.abs(fast - naive)) <= 1e-12 * max(scale, 1.0)
 
+    @staticmethod
+    def reduce_and_repeat(cols, grid):
+        """Reference for the fast sweep: cube sums by reshape-and-sum, the
+        downward accumulation spread to every level by np.repeat."""
+        nu, p, N = grid.params.nu, grid.params.p, grid.depth
+        m = cols.shape[1]
+        sums, s = [], cols
+        for _ in range(N):
+            s = s.reshape(-1, nu, m).sum(axis=1)
+            sums.append(s)
+        acc = grid.tail_weight() * sums[-1]
+        for r in range(N, 0, -1):
+            acc = acc + ((1.0 - p) * p ** (r - 1) / nu**r) * sums[r - 1]
+            if r > 1:
+                acc = np.repeat(acc, nu, axis=0)
+        return np.repeat(acc, nu, axis=0) - cols
+
+    @pytest.mark.parametrize("nu, depth", [(2, 9), (3, 6), (4, 5), (5, 4)])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_fast_sweep_bits(self, nu, depth, m):
+        # slice adds and broadcasting give the bits of reduce-and-repeat,
+        # compared byte for byte, and leave the field as it was
+        rng = np.random.default_rng(nu * 10 + m)
+        for p in (0.25, 0.5, 0.9):
+            g = grid_of(nu, p, depth)
+            cols = rng.standard_normal((g.n_sites, m)) * np.exp(
+                8.0 * rng.standard_normal((g.n_sites, m)))
+            before = cols.copy()
+            out = apply_laplacian(cols, g)
+            assert np.array_equal(cols, before)
+            ref = self.reduce_and_repeat(cols, g)
+            assert out.tobytes() == ref.tobytes()
+            assert apply_laplacian(cols[:, 0], g).tobytes() == \
+                self.reduce_and_repeat(cols[:, :1], g)[:, 0].tobytes()
+
     def test_batch_matches_single(self):
         g = grid_of(2, 0.6, 5)
         rng = np.random.default_rng(3)

@@ -137,6 +137,12 @@ class TestPositiveSpectrum:
         with pytest.raises(DomainError):
             secular_eigenvalue(VolumeGrid(PA_2_HALF, 8), site, 5.0)
 
+    @pytest.mark.parametrize("coupling", [0.5, float("nan")])
+    def test_secular_coupling_at_or_below_threshold_rejected(self, coupling):
+        # c* = 1/G_5(0) = 2/3 + 2**-5/9 at (4, 1/2)
+        with pytest.raises(DomainError, match="below the finite-volume"):
+            secular_eigenvalue(VolumeGrid(PA_4_HALF, 5), 0, coupling)
+
     def test_sum_matches_secular_root(self):
         g = VolumeGrid(PA_2_HALF, 8)
         report = positive_spectrum(g, delta_potential(0, 5.0))
