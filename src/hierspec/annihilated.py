@@ -24,14 +24,13 @@ finite volume (boundary leak ~ p**depth * t).
 
 import math
 from functools import lru_cache
-from itertools import count
 
 import numpy as np
 
 from .errors import CertificationError, DomainError, SpectrumProximityError
-from .closedform import (SECTOR_ANGLE, _MIN_DIST, _atom, _first, _last_index,
-                         _left_out, _moment, _points, _result, _sum_atoms,
-                         resolvent, resolvent_zero)
+from .closedform import (SECTOR_ANGLE, _MIN_DIST, _atom_table, _first,
+                         _heat_term, _last_index, _left_out, _moment, _points,
+                         _result, _sum_atoms, resolvent, resolvent_zero)
 from .hierops import VolumeGrid, apply_laplacian, expm_action
 from .lattice import LatticeParams
 
@@ -53,29 +52,26 @@ def _certify(what: str, points, bound, tol: float):
 
 
 def _require_sector_off_atoms(params: LatticeParams, lam, r: int):
-    """Reject lam outside the sector and lam within _MIN_DIST of -p**s,
-    s < r, naming the first such point; ``lam`` as from ``_points``."""
+    """Reject lam (as from ``_points``) outside the sector, lam != 0 within
+    _MIN_DIST of -p**s, s < r, and lam = 0 if p**(r+1) < _FLOOR."""
     outside = ((abs(np.arctan2(lam.imag, lam.real)) > SECTOR_ANGLE + 1e-12)
                & (lam != 0))
     if np.any(outside):
         raise DomainError(f"lam = {_first(lam, outside)} outside the sector "
                           "|arg| <= 3*pi/4")
     for s in range(r):
-        close = abs(lam + params.p**s) < _MIN_DIST
+        close = (abs(lam + params.p**s) < _MIN_DIST) & (lam != 0)
         if np.any(close):
             raise SpectrumProximityError(
                 f"lam = {_first(lam, close)} within {_MIN_DIST} of -p**{s}")
-
-
-def _pole_sum(params: LatticeParams, den, last, head=0.0):
-    """head + sum_{s <= last} w_s / den(p**s), element by element."""
-    return _sum_atoms(params, lambda s, loc, w: w / den(loc), 0, last, head)
+    if np.any(lam == 0) and params.p ** (r + 1) < _FLOOR:
+        raise DomainError(f"lam = 0 at r = {r}: p**(r+1) is below {_FLOOR}")
 
 
 def _tilde(params: LatticeParams, den, r: int):
     """Rt_lam(r) for den(loc) = lam + loc."""
-    return -_pole_sum(params, den, r - 1,
-                      params.nu ** -r / den(params.p ** (r - 1)))
+    return -_sum_atoms(_atom_table(params), lambda loc, w: w / den(loc), 0,
+                       r - 1, params.nu ** -r / den(params.p ** (r - 1)))
 
 
 def resolvent_tilde(params: LatticeParams, lam, r: int):
@@ -183,6 +179,7 @@ def p1_small_t(params: LatticeParams, ts, r: int) -> np.ndarray:
 
 _ROUNDING = 1e-14  # relative rounding allowance of a sum over the measure
 _TOL = 1e-10  # certified absolute error of p1_diag and p1_tail_integral
+_FLOOR = 1e-280  # least location p**s the killed walk's lam = 0 sums reach
 
 
 def _gap_roots(params: LatticeParams, base, gap, last):
@@ -191,44 +188,35 @@ def _gap_roots(params: LatticeParams, base, gap, last):
 
     Each operation of f rounds monotonically in y, so the adjacent floats
     lo < hi with f(lo) <= 0 < f(hi) do not depend on the search, and
-    y = (lo + hi)/2 rounds onto one of them.  Brackets are bisected
-    geometrically while they span a factor 4, then take Newton steps in
-    1/y (atom j+1's pole -w/y is linear there) from their midpoint in 1/y,
-    with y**2 f'(y) = sum w_s / (((p**s - base) - y)/y)**2 from the same
-    pass.  A step moves at least one float; one that does not land inside
-    the open bracket is replaced by its midpoint.  Only open brackets are
-    evaluated.
+    y = (lo + hi)/2 rounds onto one of them.  Brackets (tiny, gap) take
+    Newton steps in 1/y (atom j+1's pole -w/y is linear there) from their
+    midpoint, with y**2 f'(y) = sum w_s / (((p**s - base) - y)/y)**2 from
+    the same pass (near y = tiny, f y rounds to -w and the step is lost).
+    A step moves at least one float; one that does not land inside the
+    open bracket is replaced by the bracket's midpoint, geometric while
+    the bracket spans a factor 4.  Only open brackets are evaluated.
     """
     lo, hi = np.full(len(base), np.finfo(float).tiny), gap.copy()
-
-    def split(i, x, value):  # narrow brackets i at x by the sign of f(x)
-        up = value > 0.0
-        hi[i[up]], lo[i[~up]] = x[up], x[~up]
-        return up
-
-    while True:
-        i = np.flatnonzero(hi > 4.0 * lo)
-        if not i.size:
-            break
-        x, b = np.sqrt(lo[i]) * np.sqrt(hi[i]), base[i]
-        split(i, x, _pole_sum(params, lambda loc: (loc - b) - x, last[i]))
-    i, x = np.arange(len(base)), 2.0 * lo / (lo + hi) * hi
+    i, x = np.arange(len(base)), (lo + hi) / 2.0
     # far atoms' (d/x)**2 may overflow to inf; 1 + y f/(y**2 f') may be 0
     with np.errstate(over="ignore", divide="ignore"):
         while i.size:
             b, x1 = base[None, i], x[None]  # one row each: f and the slope
 
-            def term(s, loc, w):
+            def term(loc, w):
                 d = (loc - b) - x1
                 return np.concatenate([w / d, w / (d / x1) ** 2], axis=-2)
 
-            value, slope = _sum_atoms(params, term, 0, last[i],
+            value, slope = _sum_atoms(_atom_table(params), term, 0, last[i],
                                       np.zeros((2, len(i))))
-            up = split(i, x, value)
+            up = value > 0.0  # narrow the brackets at x by the sign of f(x)
+            hi[i[up]], lo[i[~up]] = x[up], x[~up]
             z = x / (1.0 + value * x / slope)
             z = np.where(z == x, np.nextafter(x, np.where(up, -1.0, 1.0)), z)
             low, high = lo[i], hi[i]
-            z = np.where((low < z) & (z < high), z, (low + high) / 2.0)
+            mid = np.where(high > 4.0 * low, np.sqrt(low) * np.sqrt(high),
+                           (low + high) / 2.0)
+            z = np.where((low < z) & (z < high), z, mid)
             open_ = (low < z) & (z < high)
             i, x = i[open_], z[open_]
     return (lo + hi) / 2.0
@@ -237,7 +225,8 @@ def _gap_roots(params: LatticeParams, base, gap, last):
 @lru_cache(maxsize=64)
 def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     """(mu, c, tail): the measure's atoms and roots mu_j, j < J, weights, and
-    tail >= sum_{j >= J} c_j, below tail_weight unless p**(J+2) < 1e-280.
+    tail >= sum_{j >= J} c_j, below tail_weight unless p**(J+2) < _FLOOR;
+    DomainError where J would pass the atoms of :func:`_atom_table`.
 
     For j >= r, |Rt(-mu_j)| <= |Rt(0)| / (1 - p**(j-r+1)); as R(-mu_j) = 0,
     Cauchy-Schwarz over the atoms s > j gives -R'(-mu_j) >= nu**(j+1) P_j**2,
@@ -251,22 +240,23 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     nu, p = params.nu, params.p
     coeff = 1.0 - 1.0 / nu
     tilde0 = -resolvent_tilde(params, 0.0, r).real
-    big_p = 0.0
-    for n_roots in count():
-        loc, w = _atom(params, n_roots)
+    atoms, big_p = _atom_table(params), 0.0
+    for n_roots, (loc, w) in enumerate(atoms.tolist()):
         big_p += w / loc
         tail = ((tilde0 / ((1.0 - p ** (n_roots - r + 1)) * big_p)) ** 2
                 * float(nu) ** -n_roots / (nu - 1.0)) if n_roots >= r else 1.0
-        if tail <= tail_weight or p ** (n_roots + 2) < 1e-280:
+        if tail <= tail_weight or p ** (n_roots + 2) < _FLOOR:
             break
-    locs = np.array([_atom(params, s)[0] for s in range(n_roots + 1)])
+    else:
+        raise DomainError(f"r = {r}: the measure needs atoms of float weight 0")
+    locs = atoms[:n_roots + 1, 0]
     base = locs[1:]
     last = np.arange(n_roots) + 1 + _last_index(
         0, (1.0 / (p * coeff), 1.0 / nu, 2.0**-60))
     y = _gap_roots(params, base, -np.diff(locs), last)
     with np.errstate(over="ignore"):  # far atoms' (d/y)**2 may overflow to inf
-        slope = _pole_sum(params, lambda loc: (((loc - base) - y) / y) ** 2,
-                          last)  # y**2 * -R'(-mu), which does not underflow
+        slope = _sum_atoms(  # y**2 * -R'(-mu), which does not underflow
+            atoms, lambda loc, w: w / (((loc - base) - y) / y) ** 2, 0, last)
     mu = np.concatenate([locs[:r], base + y])
     c = np.concatenate([coeff * float(nu) ** -np.arange(r - 1),
                         [nu ** (1.0 - r) * (nu - 2.0) / (nu - 1.0)],
@@ -276,16 +266,23 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     return mu, c, tail
 
 
+@lru_cache(maxsize=64)
+def _measure_rows(params: LatticeParams, r: int):
+    """_measure(params, r) as (location, weight) rows, and its tail."""
+    mu, c, tail = _measure(params, r, 1e-40)  # _measure_integral's key
+    return np.column_stack([mu, c]), tail
+
+
 def p1_diag(params: LatticeParams, t, r: int):
     """Annihilated-kernel diagonal p1(t, x, x) at distance r from x0.
 
     ``t`` may be an array (the result is then an array, else a float).
-    t >= 1 sums c e**(-mu t) over the spectral measure, one row of
-    (points x roots) per t; the roots left out add at most their weight
-    tail, so the error is <= tail + rounding and CertificationError,
-    naming the first t concerned, is raised when that exceeds ``_TOL``
-    = 1e-10.  All t < 1 go to one :func:`p1_small_t` call (error
-    ~ p**depth * t).
+    t >= 1 sums c e**(-mu t) over the spectral measure by the running sum
+    of the heat kernel (:func:`_sum_atoms`); the roots left out add at
+    most their weight tail, so the error is <= tail + rounding and
+    CertificationError, naming the first t concerned, is raised when that
+    exceeds ``_TOL`` = 1e-10.  All t < 1 go to one :func:`p1_small_t`
+    call (error ~ p**depth * t).
     """
     _check_r(r)
     ts = np.atleast_1d(_points(t))
@@ -296,10 +293,10 @@ def p1_diag(params: LatticeParams, t, r: int):
     if small.any():
         value[small] = p1_small_t(params, ts[small], r)
     if not small.all():
-        mu, c, tail = _measure(params, r, 1e-40)  # _measure_integral's key
+        atoms, tail = _measure_rows(params, r)
         big = ts[~small]
-        value[~small] = np.sum(c * np.exp(-np.multiply.outer(big, mu)),
-                               axis=-1)  # pairwise, as a 1-d np.sum
+        value[~small] = _sum_atoms(atoms, _heat_term(big), 0, len(atoms) - 1,
+                                   np.zeros(big.shape))
         _certify("p1 at t", big, tail + _ROUNDING * value[~small], _TOL)
     return value if np.ndim(t) else float(value[0])
 

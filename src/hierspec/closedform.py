@@ -19,19 +19,20 @@ Everything here is an explicit series over the pure-point spectrum
 * tail integrals int_T^inf t**(-gamma) p(t,x,x) dt, the weights of the
   bound-state counting functionals.
 
-Heat-kernel and resolvent series are summed by :func:`_sum_atoms` (all
-atoms in one array pass), tail integrals by :func:`_moment`, up to the
-last index at which a geometric tail bound is below the requested
-tolerance (:class:`CertificationError` past ``_MAX_TERMS`` terms); both
-walks bound what a tail integral leaves out by one rule, :func:`_left_out`.
-Functions of t or lam also take an ndarray; an array call equals scalar
-calls element by element, bit for bit: both add the atoms by one running
-sum in order of s.
+Heat-kernel and resolvent series are summed by :func:`_sum_atoms` over a
+measure's (location, weight) rows, here :func:`_atom_table`, tail
+integrals by :func:`_moment`, up to the last index at which a geometric
+tail bound is below the requested tolerance (:class:`CertificationError`
+past ``_MAX_TERMS`` terms); both walks bound what a tail integral leaves
+out by one rule, :func:`_left_out`.  Functions of t or lam also take an
+ndarray; an array call equals scalar calls element by element, bit for
+bit: both add the rows by one running sum in order.
 """
 
 import cmath
 import math
 from functools import lru_cache, reduce
+from itertools import count, takewhile
 
 import numpy as np
 from scipy.special import gammaincc
@@ -45,15 +46,13 @@ _MIN_DIST = 1e-13  # least distance of a resolvent's lam from an atom -p**s
 _MAX_TERMS = 100_000
 
 
-def _atom(params: LatticeParams, s: int) -> tuple[float, float]:
-    """Location p**s and weight (1-1/nu) nu**(-s) of atom s."""
-    return params.p**s, (1.0 - 1.0 / params.nu) * float(params.nu) ** -s
-
-
 @lru_cache(maxsize=16)
-def _atom_table(params: LatticeParams, count: int = 1024) -> np.ndarray:
-    """Rows (p**s, weight) of the atoms s < count, cached per lattice."""
-    return np.array([_atom(params, s) for s in range(count)])
+def _atom_table(params: LatticeParams) -> np.ndarray:
+    """Rows (p**s, (1-1/nu) nu**(-s)) of every atom s of nonzero weight,
+    cached per lattice; the atoms past them add exact zeros to any sum."""
+    rows = ((params.p**s, (1.0 - 1.0 / params.nu) * float(params.nu) ** -s)
+            for s in count())
+    return np.array(list(takewhile(lambda row: row[1] > 0.0, rows)))
 
 
 def _points(x):
@@ -88,23 +87,23 @@ def _last_index(first, *bounds):
     return np.maximum(n, first).astype(int)
 
 
-def _sum_atoms(params: LatticeParams, term, first: int, last, total=0.0):
-    """total + sum over atoms s = first..last of term(s, location, weight).
+def _sum_atoms(atoms, term, first: int, last, total=0.0):
+    """total + sum over rows s = first..last of ``atoms``, a measure's
+    (location, weight) rows up to their end, of term(location, weight).
 
     ``last`` is an int, or an int array giving each point its own last
     index; ``last`` or ``total`` has the points' shape.  Terms come in
-    (atoms, points) blocks of at most 2**13 elements (or one atom), zero
+    (rows, points) blocks of at most 2**13 elements (or one row), zero
     past a point's last index, and a running sum adds them in order of s:
     an array call gives the bits of scalar calls, point by point.
     """
     points = np.broadcast(last, total)
-    top = int(np.max(last, initial=first - 1))
-    atoms = _atom_table(params, 1 << max(10, top.bit_length()))[first:top + 1]
+    atoms = atoms[first:int(np.max(last, initial=first - 1)) + 1]
     s, loc, w = (v.reshape((-1,) + (1,) * points.ndim)
-                 for v in (np.arange(first, top + 1), *atoms.T))
+                 for v in (np.arange(first, first + len(atoms)), *atoms.T))
     rows = max(1, 2**13 // max(1, points.size))
     for b in (slice(i, i + rows) for i in range(0, len(atoms), rows)):
-        terms = term(s[b], loc[b], w[b]) * (s[b] <= last)
+        terms = term(loc[b], w[b]) * (s[b] <= last)
         terms[0] += total  # accumulate strides across rows: short rows only
         total = (np.add.accumulate(terms)[-1] if rows > points.size
                  else reduce(np.add, terms))
@@ -150,7 +149,7 @@ def ids_profile(params: LatticeParams, lam: float) -> float:
 
 
 def _heat_term(t):
-    return lambda s, loc, w: w * np.exp(-loc * t)
+    return lambda loc, w: w * np.exp(-loc * t)
 
 
 def heat_kernel(params: LatticeParams, t, r: int = 0, tol: float = 1e-14):
@@ -175,7 +174,7 @@ def heat_kernel(params: LatticeParams, t, r: int = 0, tol: float = 1e-14):
     gap_scale = (1.0 - 1.0 / nu) * t * nu / (nu - p)
     last = _last_index(r, (1.0, 1.0 / nu, tol),
                        (gap_scale, p / nu, 2.0 * tol))
-    value = _sum_atoms(params, _heat_term(t), r, last, head)
+    value = _sum_atoms(_atom_table(params), _heat_term(t), r, last, head)
     tail_hi = np.power(float(nu), -(last + 1.0))
     tail_gap = gap_scale * np.power(p / nu, last + 1.0)
     value = value + (tail_hi - np.minimum(tail_gap, tail_hi) / 2.0)
@@ -226,8 +225,8 @@ def heat_exterior_mass(params: LatticeParams, t, volume_rank: int):
     # the terms past atom S weigh nu**R nu**-(S+1) at most
     last = _last_index(volume_rank + 1,
                        (float(nu) ** volume_rank, 1.0 / nu, 1e-14))
-    rest = _sum_atoms(params, _heat_term(t), volume_rank + 1, last,
-                      np.zeros(np.shape(t)))
+    rest = _sum_atoms(_atom_table(params), _heat_term(t), volume_rank + 1,
+                      last, np.zeros(np.shape(t)))
     value = (1.0 - (1.0 - 1.0 / nu) * np.exp(-(p**volume_rank) * t)
              - nu**volume_rank * rest)
     return _result(np.clip(value, 0.0, 1.0))
@@ -277,11 +276,14 @@ def resolvent(params: LatticeParams, lam, r: int = 0, tol: float = 1e-14):
     lam = _points(lam)
     _require_resolvent_domain(params, lam)
     nu, p = params.nu, params.p
-    head = 0.0 if r == 0 else -1.0 / ((lam + p ** (r - 1)) * nu**r)
     # on the sector |lam + p**s| >= |lam| / sqrt(2), so the terms past
-    # atom S add up to at most sqrt(2)/|lam| nu**-(S+1)
+    # atom S add up to at most sqrt(2)/|lam| nu**-(S+1), and the head to
+    # less than sqrt(2)/|lam| 2**-1024 once nu**r overflows a float
+    head = 0.0 if r == 0 else (-1.0 / ((lam + p ** (r - 1)) * nu**r)
+                               if r * math.log2(nu) < 1024 else 0.0 * lam)
     last = _last_index(r, (math.sqrt(2.0) / abs(lam), 1.0 / nu, tol))
-    value = _sum_atoms(params, lambda s, loc, w: w / (lam + loc), r, last, head)
+    value = _sum_atoms(_atom_table(params), lambda loc, w: w / (lam + loc), r,
+                       last, head)
     return _result(value + 0j, complex)
 
 

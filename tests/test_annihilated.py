@@ -92,6 +92,8 @@ class TestAnnihilatedResolvent:
         assert ann.a_coefficient(PA_2_QUARTER, 1) == pytest.approx(2.0)
         # 2/(p**(r-1) nu**r) + 2(1-1/nu) sum (p nu)**-s telescopes to 11
         assert ann.a_coefficient(PA_2_QUARTER, 3) == pytest.approx(11.0)
+        # a(r) = 3 2**(r-1) - 1; the atom -p**22 lies within 1e-13 of lam = 0
+        assert ann.a_coefficient(PA_2_QUARTER, 23) == 3 * 2**22 - 1
         lam_small = ann.resolvent_annihilated(PA_2_QUARTER, 1e-9, 1).real
         assert lam_small == pytest.approx(2.0, abs=1e-4)
 
@@ -167,6 +169,40 @@ class TestP1:
                 p1 = ann.p1_diag(PA_2_QUARTER, t, r)
                 p0 = cf.heat_kernel(PA_2_QUARTER, t, 0)
                 assert 0.0 <= p1 <= p0 + 1e-9
+
+    @pytest.mark.parametrize("pa, r", [(PA_2_QUARTER, 23), (PA_2_QUARTER, 464),
+                                       (LatticeParams(2, 0.01), 8)])
+    def test_far_from_x0_is_the_free_kernel(self, pa, r):
+        # lam = 0 lies within 1e-13 of atoms -p**s, s < r, where Rt_0 is
+        # still finite; the killed site is too far away to change p1 here
+        for t in (2.0, 700.0):
+            p0 = cf.heat_kernel(pa, t, 0)
+            assert p0 - 1e-12 <= ann.p1_diag(pa, t, r) <= p0
+
+    def test_measure_floor_refused(self):
+        # p**(r+1) = 4**-466 is below the measure's floor 1e-280
+        with pytest.raises(DomainError):
+            ann.p1_diag(PA_2_QUARTER, 2.0, 465)
+
+    @pytest.mark.parametrize("pa, r", [(LatticeParams(2, 1e-3), 110),
+                                       (LatticeParams(2, 1e-20), 17)])
+    def test_lam_zero_floor_refused(self, pa, r):
+        # p**(r-1) is 0 or subnormal: Rt_0(r) would divide by 0, overflow
+        # or keep two digits
+        for zero_limit in (ann.a_coefficient, ann.annihilated_resolvent_zero,
+                           lambda pa, r: ann.p1_tail_integral(pa, 0.0, r)):
+            with pytest.raises(DomainError):
+                zero_limit(pa, r)
+        assert math.isfinite(ann.a_coefficient(LatticeParams(2, 1e-20), 12))
+
+    @pytest.mark.parametrize("pa, r", [(LatticeParams(7, 0.95), 400),
+                                       (LatticeParams(2, 0.99), 1100)])
+    def test_measure_past_the_table_refused(self, pa, r):
+        # the gaps past the atoms of nonzero weight (383 at nu = 7, 1074
+        # at nu = 2) would get roots of weight 0/0
+        with pytest.raises(DomainError):
+            ann.p1_diag(pa, 2.0, r)
+        assert ann.p1_diag(pa, 2.0, len(cf._atom_table(pa)) - 1) > 0.0
 
     def test_power_law_decay(self):
         pa = PA_2_QUARTER

@@ -375,12 +375,12 @@ class TestThetaZeta:
         assert all(a > b for a, b in zip(locations, locations[1:]))
 
 
-def atoms_one_by_one(params, term, first, last, total=0.0):
-    """Reference for cf._sum_atoms: one atom at a time, in order of s."""
+def atoms_one_by_one(atoms, term, first, last, total=0.0):
+    """Reference for cf._sum_atoms: one row of the measure ``atoms`` at a
+    time, in order of s."""
     top = int(np.max(last, initial=first - 1))
-    for s in range(first, top + 1):
-        loc, w = cf._atom(params, s)
-        total = total + term(s, loc, w) * (s <= last)
+    for s, (loc, w) in enumerate(atoms[first:top + 1], start=first):
+        total = total + term(loc, w) * (s <= last)
     return total
 
 
@@ -412,6 +412,28 @@ class TestSumAtoms:
             for value, ref in zip(values, reference):
                 assert np.array_equal(value, ref)
 
+    @pytest.mark.parametrize("size", SIZES)
+    def test_p1_diag_bits(self, monkeypatch, size):
+        # t >= 1 adds c e**(-mu t) over the killed walk's measure by the
+        # heat kernel's running sum
+        import hierspec.annihilated as ann
+        ts = self.grid(1.0, 1e6, size)
+        for pa, r in ((PA_2_QUARTER, 1), (PA_2_QUARTER, 3), (PA_4_HALF, 2)):
+            value = ann.p1_diag(pa, ts, r)  # solves and caches the measure
+            with monkeypatch.context() as m:
+                m.setattr(ann, "_sum_atoms", atoms_one_by_one)
+                assert np.array_equal(value, ann.p1_diag(pa, ts, r))
+
+    def test_far_distances_underflow(self):
+        # the atoms past the table weigh an exact 0, so no sum outgrows it,
+        # and a head nu**-r past 2**-1024 is 0, not an OverflowError
+        assert len(cf._atom_table(PA_2_QUARTER)) < 1100
+        assert cf.heat_kernel(PA_2_HALF, 1.0, 10**6) == 0.0
+        assert cf.resolvent(PA_2_HALF, 1.0, 1100) == 0.0
+        assert cf.resolvent(LatticeParams(3, 0.5), 0.5 + 1j, 1100) == 0.0
+        assert np.array_equal(
+            cf.resolvent(PA_2_HALF, np.array([1.0, 2j]), 1100), [0.0, 0.0])
+
     def test_measure_bits(self, monkeypatch):
         import hierspec.annihilated as ann
         pa = PA_2_QUARTER
@@ -431,7 +453,6 @@ class TestSumAtoms:
         """Reference for annihilated._gap_roots: every gap bisected at once
         down to adjacent floats, geometrically while a bracket spans a
         factor 4, one array pass per step."""
-        import hierspec.annihilated as ann
         lo, hi = np.full(len(base), np.finfo(float).tiny), gap
         with np.errstate(divide="ignore"):  # a midpoint may hit the gap end
             while True:
@@ -439,8 +460,8 @@ class TestSumAtoms:
                                (lo + hi) / 2.0)
                 if np.all((mid <= lo) | (mid >= hi)):
                     break
-                up = ann._pole_sum(params, lambda loc: (loc - base) - mid,
-                                   last) > 0.0
+                up = cf._sum_atoms(cf._atom_table(params), lambda loc, w:
+                                   w / ((loc - base) - mid), 0, last) > 0.0
                 lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
         return (lo + hi) / 2.0
 
@@ -467,8 +488,8 @@ class TestSumAtoms:
                 assert np.array_equal(mu[r:], base + y)
                 assert np.all((0.0 < y) & (y < gap))
                 with np.errstate(divide="ignore"):
-                    up = [ann._pole_sum(pa, lambda loc: (loc - base) - z,
-                                        last) > 0.0
+                    up = [cf._sum_atoms(cf._atom_table(pa), lambda loc, w:
+                                        w / ((loc - base) - z), 0, last) > 0.0
                           for z in (np.nextafter(y, 0.0), y,
                                     np.nextafter(y, 1.0))]
                 assert np.all(np.where(up[1], ~up[0], up[2]))
