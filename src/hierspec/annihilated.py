@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import CertificationError, DomainError, SpectrumProximityError
 from .closedform import (SECTOR_ANGLE, _MIN_DIST, _atom_table, _first,
-                         _heat_term, _last_index, _left_out, _moment, _points,
-                         _result, _sum_atoms, resolvent, resolvent_zero)
+                         _head_weight, _heat_term, _last_index, _left_out,
+                         _moment, _points, _result, _sum_atoms, resolvent,
+                         resolvent_zero)
 from .hierops import VolumeGrid, apply_laplacian, expm_action
 from .lattice import LatticeParams
 
@@ -44,7 +45,7 @@ def _check_r(r: int):
 def _certify(what: str, points, bound, tol: float):
     """Raise CertificationError where ``bound`` exceeds ``tol``, naming
     the first of ``points`` concerned."""
-    failed = bound > tol
+    failed = np.logical_not(bound <= tol)  # a NaN bound fails too
     if np.any(failed):
         raise CertificationError(f"{what}={_first(points, failed)}: bound "
                                  f"{_first(bound, failed):.3g} exceeds "
@@ -70,8 +71,9 @@ def _require_sector_off_atoms(params: LatticeParams, lam, r: int):
 
 def _tilde(params: LatticeParams, den, r: int):
     """Rt_lam(r) for den(loc) = lam + loc."""
+    head = _head_weight(params.nu, r) / den(params.p ** (r - 1))
     return -_sum_atoms(_atom_table(params), lambda loc, w: w / den(loc), 0,
-                       r - 1, params.nu ** -r / den(params.p ** (r - 1)))
+                       r - 1, head)
 
 
 def resolvent_tilde(params: LatticeParams, lam, r: int):
@@ -224,9 +226,10 @@ def _gap_roots(params: LatticeParams, base, gap, last):
 
 @lru_cache(maxsize=64)
 def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
-    """(mu, c, tail): the measure's atoms and roots mu_j, j < J, weights, and
-    tail >= sum_{j >= J} c_j, below tail_weight unless p**(J+2) < _FLOOR;
-    DomainError where J would pass the atoms of :func:`_atom_table`.
+    """(rows, tail): read-only (mu, c) rows as in :func:`_atom_table`, the
+    atoms and roots mu_j, j < J, and tail >= sum_{j >= J} c_j, below
+    tail_weight unless p**(J+2) < _FLOOR; DomainError where J would pass
+    the atoms of :func:`_atom_table`.
 
     For j >= r, |Rt(-mu_j)| <= |Rt(0)| / (1 - p**(j-r+1)); as R(-mu_j) = 0,
     Cauchy-Schwarz over the atoms s > j gives -R'(-mu_j) >= nu**(j+1) P_j**2,
@@ -257,20 +260,13 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     with np.errstate(over="ignore"):  # far atoms' (d/y)**2 may overflow to inf
         slope = _sum_atoms(  # y**2 * -R'(-mu), which does not underflow
             atoms, lambda loc, w: w / (((loc - base) - y) / y) ** 2, 0, last)
-    mu = np.concatenate([locs[:r], base + y])
     c = np.concatenate([coeff * float(nu) ** -np.arange(r - 1),
                         [nu ** (1.0 - r) * (nu - 2.0) / (nu - 1.0)],
                         (_tilde(params, lambda loc: (loc - base) - y, r) * y)
                         ** 2 / slope])
-    mu.flags.writeable = c.flags.writeable = False
-    return mu, c, tail
-
-
-@lru_cache(maxsize=64)
-def _measure_rows(params: LatticeParams, r: int):
-    """_measure(params, r) as (location, weight) rows, and its tail."""
-    mu, c, tail = _measure(params, r, 1e-40)  # _measure_integral's key
-    return np.column_stack([mu, c]), tail
+    rows = np.column_stack([np.concatenate([locs[:r], base + y]), c])
+    rows.flags.writeable = False
+    return rows, tail
 
 
 def p1_diag(params: LatticeParams, t, r: int):
@@ -293,7 +289,7 @@ def p1_diag(params: LatticeParams, t, r: int):
     if small.any():
         value[small] = p1_small_t(params, ts[small], r)
     if not small.all():
-        atoms, tail = _measure_rows(params, r)
+        atoms, tail = _measure(params, r, 1e-40)  # _measure_integral's key
         big = ts[~small]
         value[~small] = _sum_atoms(atoms, _heat_term(big), 0, len(atoms) - 1,
                                    np.zeros(big.shape))
@@ -311,7 +307,8 @@ def _measure_integral(params: LatticeParams, T: float, gamma: float, r: int,
     taken at T = 0, the missing mass R1(0) - sum c/mu, error <= T tail.
     """
     deep = 1e-16 ** (1.0 / gamma) if 0.0 < gamma < 1.0 else 1.0
-    mu, c, tail = _measure(params, r, min(1e-40, max(deep, 1e-300)))
+    rows, tail = _measure(params, r, min(1e-40, max(deep, 1e-300)))
+    mu, c = rows.T
     value = _moment(mu, c, c / mu if gamma == 0.0 else c * mu ** (gamma - 1.0),
                     T, gamma)
     full = annihilated_resolvent_zero(params, r)

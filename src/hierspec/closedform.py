@@ -55,6 +55,13 @@ def _atom_table(params: LatticeParams) -> np.ndarray:
     return np.array(list(takewhile(lambda row: row[1] > 0.0, rows)))
 
 
+def _head_weight(nu: int, r: int) -> float:
+    """nu**-r, the weight of a distance-r series' head atom p**(r-1),
+    rounded from the exact nu**r (libm pow may round it differently
+    between builds); 0.0 once nu**r passes the float range."""
+    return 1.0 / float(nu**r) if r * math.log2(nu) < 1024 else 0.0
+
+
 def _points(x):
     """Points as a float or complex ndarray or scalar.  Complex scalars
     become numpy complex: numpy divides complex numbers unlike Python,
@@ -169,7 +176,7 @@ def heat_kernel(params: LatticeParams, t, r: int = 0, tol: float = 1e-14):
     if r < 0:
         raise DomainError("distance must be nonnegative")
     nu, p = params.nu, params.p
-    head = 0.0 if r == 0 else -np.exp(-p ** (r - 1) * t) * nu ** (-r)
+    head = -np.exp(-p ** (r - 1) * t) * _head_weight(nu, r) if r else 0.0
     # past atom S: A = nu**-(S+1), B = gap_scale (p/nu)**(S+1)
     gap_scale = (1.0 - 1.0 / nu) * t * nu / (nu - p)
     last = _last_index(r, (1.0, 1.0 / nu, tol),
@@ -277,10 +284,8 @@ def resolvent(params: LatticeParams, lam, r: int = 0, tol: float = 1e-14):
     _require_resolvent_domain(params, lam)
     nu, p = params.nu, params.p
     # on the sector |lam + p**s| >= |lam| / sqrt(2), so the terms past
-    # atom S add up to at most sqrt(2)/|lam| nu**-(S+1), and the head to
-    # less than sqrt(2)/|lam| 2**-1024 once nu**r overflows a float
-    head = 0.0 if r == 0 else (-1.0 / ((lam + p ** (r - 1)) * nu**r)
-                               if r * math.log2(nu) < 1024 else 0.0 * lam)
+    # atom S add up to at most sqrt(2)/|lam| nu**-(S+1)
+    head = -_head_weight(nu, r) / (lam + p ** (r - 1)) if r else 0.0
     last = _last_index(r, (math.sqrt(2.0) / abs(lam), 1.0 / nu, tol))
     value = _sum_atoms(_atom_table(params), lambda loc, w: w / (lam + loc), r,
                        last, head)

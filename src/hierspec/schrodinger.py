@@ -7,24 +7,19 @@ positivity threshold ``POSITIVITY_THRESHOLD = 1e-12``: the Dirichlet
 volume has no exact zero modes, so any eigenvalue above it is a
 genuine bound state at working precision.
 
-The volume Green function G_tau = (tau - L)^(-1) depends only on the
-distance of its two sites; :meth:`HaarBasis.green_by_distance` gives
-the table G_tau(d), d = 0..N, from one solve.  The Birman-Schwinger
-count and the rank-one threshold 1/G_0(0) read it; the secular equation
-c G_lam(0) = 1 takes Newton steps on 1/G_lam(0) from lam = 0, with
-G_lam(0) summed over the Haar coefficients of delta_0.
+Every site carries the same spectral measure of -L, the N + 1 entries
+of :func:`dirichlet_spectrum` of weight multiplicity / nu**N; the
+rank-one threshold 1/G_0(0) and the secular equation c G_lam(0) = 1 sum
+over it, and the Birman-Schwinger count reads the distance table
+G_tau(d), d = 0..N, of :meth:`HaarBasis.green_by_distance`.
 :meth:`Potential.diagonal` is the one place where a potential becomes
 the volume diagonal of L + V, behind the one check that its sites lie
 in the volume.  Two solver paths:
 
 * dense (volume within the cap): full symmetric eigendecomposition;
-* iterative (large volumes): the count above the threshold is first
-  obtained *exactly* from the Birman-Schwinger reduction -- for V >= 0
-  and tau = ``POSITIVITY_THRESHOLD`` above sup Sp(L), the number of
-  eigenvalues of L + V above tau equals the number of eigenvalues > 1
-  of the s x s matrix K_tau = V^(1/2) G_tau V^(1/2) on the s support
-  sites of V -- and Lanczos with full reorthogonalization then
-  computes exactly that many eigenpairs.
+* iterative (large volumes): Lanczos with full reorthogonalization
+  computes exactly as many eigenpairs as the Birman-Schwinger count
+  (:func:`count_above_threshold`) certifies.
 """
 
 import json
@@ -38,7 +33,8 @@ import scipy.linalg
 from .errors import CertificationError, DomainError
 from .hierops import (DENSE_CAP_DEFAULT, FAST_CAP_DEFAULT, HaarBasis,
                       VolumeGrid, apply_laplacian, assemble_dense,
-                      hier_distance_matrix, lanczos_extreme)
+                      dirichlet_spectrum, hier_distance_matrix,
+                      lanczos_extreme)
 from .lattice import LatticeParams, Site, cube_of, cube_sites, hier_distance, \
     rho_of_distance
 
@@ -163,10 +159,11 @@ def count_above_threshold(grid: VolumeGrid, potential: Potential) -> int:
     """Exact number of eigenvalues of L + V above tau =
     ``POSITIVITY_THRESHOLD`` (> 0 > sup Sp(L)).
 
-    Birman-Schwinger reduction: the count becomes the number of
+    Birman-Schwinger reduction: for V >= 0 the count is the number of
     eigenvalues > 1 of K_tau = V^(1/2) G_tau V^(1/2) on the s support
-    sites, G_tau gathered from the distance-indexed Green table.  Costs
-    one fast volume solve and an s x s eigenvalue problem.
+    sites.  G_tau(d), d >= 1, comes from one Haar solve
+    (:meth:`HaarBasis.green_by_distance`) until ROADMAP item 9's
+    closed-form table replaces it, once item 1a unpins the Haar spans.
     """
     _support_inside(grid, potential)
     sites = sorted(s for s, v in potential.support.items() if v > 0)
@@ -234,47 +231,46 @@ def secular_coupling_threshold(params: LatticeParams) -> float:
     return (params.p * params.nu - 1.0) / (params.p * (params.nu - 1.0))
 
 
-def volume_coupling_threshold(grid: VolumeGrid) -> float:
-    """Finite-volume critical coupling 1 / G_0(0) for V = c * delta_x.
+def _site_green(grid: VolumeGrid, lam: float) -> tuple[float, float]:
+    """(G, -dG/dlam), G = G_lam(x,x) = Tr (lam - L)^(-1) / nu**N at every
+    site x (the automorphisms act transitively): sum w / (lam + loc) over
+    :func:`dirichlet_spectrum`'s entries loc, w = multiplicity / nu**N."""
+    loc, mult = np.array(dirichlet_spectrum(grid).entries).T
+    terms = mult / grid.n_sites / (lam + loc)
+    return float(np.sum(terms)), float(np.sum(terms / (lam + loc)))
 
-    G_0(0) is the diagonal of the volume Green function at zero, the
-    same at every site x; exact through the hierarchical eigenbasis.
-    Converges to :func:`secular_coupling_threshold` as the depth grows
-    (transient case) or to 0 (recurrent case).
-    """
-    return 1.0 / float(HaarBasis(grid).green_by_distance(0.0)[0])
+
+def volume_coupling_threshold(grid: VolumeGrid) -> float:
+    """Finite-volume critical coupling 1 / G_0(0) for V = c * delta_x,
+    G_0(0) the same at every site x (:func:`_site_green`).  Converges to
+    :func:`secular_coupling_threshold` as the depth grows (transient
+    case) or to 0 (recurrent case)."""
+    return 1.0 / _site_green(grid, 0.0)[0]
 
 
 def secular_eigenvalue(grid: VolumeGrid, site: Site, coupling: float) -> float:
     """Positive eigenvalue of L + c*delta_site from the secular equation
     c G_lam(0) = 1 on the finite volume.
 
-    G_lam(0) = sum_i w_i / (lam - e_i), with e_i the Laplacian's
-    eigenvalues and w_i the squared Haar coefficients of delta_0, is a
-    Stieltjes function of lam > max e_i, so h(lam) = 1/G_lam(0) - c is
-    increasing and concave there.  Newton's iterates on h from lam = 0,
-    where h < 0 above the threshold (the one check of
-    :func:`volume_coupling_threshold`), rise to the root without passing
-    it; the last one before a step stops increasing lam is returned, and
-    more than ``_SECULAR_STEPS`` steps raise :class:`CertificationError`.
+    G_lam(0) (:func:`_site_green`) is a Stieltjes function of lam above
+    the spectrum, so h(lam) = 1/G_lam(0) - c is increasing and concave
+    there.  Newton's iterates on h from lam = 0, where h < 0 above the
+    threshold (the one check of :func:`volume_coupling_threshold`), rise
+    to the root without passing it; the last one before a step stops
+    increasing lam is returned, and more than ``_SECULAR_STEPS`` steps
+    raise :class:`CertificationError`.
     G_lam(0) does not depend on the site, so ``site`` is only checked to
     lie in the volume.
     """
     if not 0 <= site < grid.n_sites:
         raise DomainError(f"site {site} outside the volume")
-    basis = HaarBasis(grid)
-    if not coupling > 1.0 / float(basis.green_by_distance(0.0)[0]):  # or nan
+    if not coupling > volume_coupling_threshold(grid):  # or nan
         raise DomainError("coupling below the finite-volume threshold")
-    delta0 = np.zeros(grid.n_sites)
-    delta0[0] = 1.0
-    weights = basis.forward(delta0) ** 2
     lam = 0.0
     for _ in range(_SECULAR_STEPS):
-        gaps = lam - basis.eigenvalues
-        terms = weights / gaps
-        green = float(np.sum(terms))
-        # h / h' = G (1 - c G) / -G', with -G' = sum w_i / (lam - e_i)**2
-        step = green * (1.0 - coupling * green) / float(np.sum(terms / gaps))
+        green, slope = _site_green(grid, lam)
+        # h / h' = G (1 - c G) / -G'
+        step = green * (1.0 - coupling * green) / slope
         if not lam - step > lam:
             return lam
         lam -= step

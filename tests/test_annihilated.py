@@ -346,7 +346,7 @@ class TestTailIntegrals:
         # rule: gamma = 0 (missing mass), below, at and above gamma = 1
         real = ann._measure
         monkeypatch.setattr(ann, "_measure",
-                            lambda *args: (*real(*args)[:2], 1e-3))
+                            lambda *args: (real(*args)[0], 1e-3))
         ann.p1_tail_integral.cache_clear()
         ann.p1_weighted_tail_integral.cache_clear()
         with pytest.raises(CertificationError, match="exceeds"):
@@ -359,6 +359,16 @@ class TestTailIntegrals:
         with pytest.raises(DomainError):
             ann.p1_tail_integral(PA_2_HALF, -1.0, 1)
 
+    def test_nan_is_not_certified(self, monkeypatch):
+        # NaN <= tol is False, so a NaN bound fails as a large one does
+        with pytest.raises(CertificationError, match="bound nan exceeds"):
+            ann._certify("x at T", 2.0, float("nan"), 1e-10)
+        rows = ann._measure(PA_2_QUARTER, 1)[0].copy()
+        rows[-1, 1] = np.nan
+        monkeypatch.setattr(ann, "_measure", lambda *args: (rows, 0.0))
+        with pytest.raises(CertificationError, match="at t=2.0: bound nan"):
+            ann.p1_diag(PA_2_QUARTER, np.array([2.0, 700.0]), 1)
+
 
 class TestSpectralMeasure:
     """The killed walk's measure: atoms p**s, s < r, and one root of the
@@ -369,7 +379,8 @@ class TestSpectralMeasure:
         # sum c = p1(0) = 1; sum c/mu = R1(0) up to the roots left out,
         # whose share decays slowly only near s_h = 2
         for r in (1, 2, 3):
-            mu, c, tail = ann._measure(pa, r)
+            rows, tail = ann._measure(pa, r)
+            mu, c = rows.T
             assert float(np.sum(c)) == pytest.approx(1.0, abs=1e-15)
             assert tail <= 1e-40
             short = (ann.annihilated_resolvent_zero(pa, r)
@@ -379,7 +390,7 @@ class TestSpectralMeasure:
     @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_2_HALF, PA_4_HALF])
     def test_resolvent(self, pa):
         for r in (1, 2, 3):
-            mu, c, _ = ann._measure(pa, r)
+            mu, c = ann._measure(pa, r)[0].T
             for lam in (0.01, 0.3, 2.0, 50.0):
                 assert float(np.sum(c / (lam + mu))) == pytest.approx(
                     ann.resolvent_annihilated(pa, lam, r).real, abs=1e-13)
@@ -435,7 +446,7 @@ class TestSpectralMeasure:
     def test_large_gamma_against_mpmath(self, pa):
         # sum c mu**39 Gamma(-39, mu T): each Gamma alone overflows
         import mpmath
-        mu, c, _ = ann._measure(pa, 2)
+        mu, c = ann._measure(pa, 2)[0].T
         with mpmath.workdps(30):
             exact = mpmath.fsum(
                 mpmath.mpf(cj) * mpmath.mpf(m) ** 39

@@ -8,7 +8,7 @@ import pytest
 
 import hierspec.closedform as cf
 from hierspec.errors import DomainError
-from hierspec.hierops import VolumeGrid, assemble_dense
+from hierspec.hierops import HaarBasis, VolumeGrid, assemble_dense
 from hierspec.lattice import LatticeParams
 from hierspec.schrodinger import (Potential, count_above_threshold,
                                   delta_potential, positive_spectrum,
@@ -121,16 +121,41 @@ class TestPositiveSpectrum:
         assert all(b < a for a, b in zip(thresholds, thresholds[1:]))
         assert thresholds[-1] < 2e-4
 
-    def test_rank_one_secular_residual(self):
+    @pytest.mark.parametrize("nu, depth", [(2, 10), (3, 6), (4, 5), (5, 4)])
+    def test_rank_one_secular_residual(self, nu, depth):
         # every positive dense eigenvalue solves c G_lam(y,y) = 1
-        g = VolumeGrid(PA_2_HALF, 10)
+        pa = LatticeParams(nu, 0.5)
+        g = VolumeGrid(pa, depth)
         c, site = 5.0, 3
         report = positive_spectrum(g, delta_potential(site, c))
         assert report.count == 1
         lam = report.largest
-        assert c * cf.resolvent(PA_2_HALF, lam, 0).real == pytest.approx(
+        assert c * cf.resolvent(pa, lam, 0).real == pytest.approx(
             1.0, abs=1e-6)
         assert secular_eigenvalue(g, site, c) == pytest.approx(lam, abs=1e-12)
+
+    @pytest.mark.parametrize("nu, p, depth", [
+        (2, 0.5, 8), (3, 0.3, 5), (4, 0.5, 5), (2, 0.25, 10), (2, 0.99, 12)])
+    def test_threshold_matches_haar_solve(self, nu, p, depth):
+        # the N + 1 entries of the stated spectrum against a volume solve
+        g = VolumeGrid(LatticeParams(nu, p), depth)
+        oracle = 1.0 / HaarBasis(g).green_by_distance(0.0)[0]
+        assert volume_coupling_threshold(g) == pytest.approx(oracle,
+                                                             rel=1e-14)
+
+    def test_rank_one_paths_build_no_haar_basis(self, monkeypatch):
+        calls = []
+        for name in ("__init__", "forward", "inverse"):
+            def spy(*args, _real=getattr(HaarBasis, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(HaarBasis, name, spy)
+        g = VolumeGrid(PA_4_HALF, 5)
+        volume_coupling_threshold(g)
+        secular_eigenvalue(g, 0, 5.0)
+        assert calls == []
+        count_above_threshold(g, delta_potential(0, 5.0))  # the spy records
+        assert {"__init__", "forward", "inverse"} <= set(calls)
 
     @pytest.mark.parametrize("site", [-1, 2**8])
     def test_secular_site_outside_volume_rejected(self, site):
