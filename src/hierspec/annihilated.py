@@ -30,8 +30,8 @@ import numpy as np
 from .errors import CertificationError, DomainError, SpectrumProximityError
 from .closedform import (SECTOR_ANGLE, _MIN_DIST, _atom_table, _first,
                          _head_weight, _heat_term, _last_index, _left_out,
-                         _moment, _points, _result, _sum_atoms, resolvent,
-                         resolvent_zero)
+                         _moment, _points, _result, _secular_roots,
+                         _sum_atoms, resolvent, resolvent_zero)
 from .hierops import VolumeGrid, apply_laplacian, expm_action
 from .lattice import LatticeParams
 
@@ -78,13 +78,13 @@ def _tilde(params: LatticeParams, den, r: int):
 
 def resolvent_tilde(params: LatticeParams, lam, r: int):
     """Rt_lam(r) = R_lam(x0, x) - R_lam(x, x); a finite sum, lam=0 allowed.
-    ``lam`` may be an array; it divides in complex arithmetic, and adding
-    0.0 turns the -0.0 imaginary part of a real lam into +0.0."""
+    ``lam`` (an array too) divides in numpy complex arithmetic, a scalar
+    as an array; adding 0.0 turns a -0.0 imaginary part into +0.0."""
     _check_r(r)
     lam = _points(lam)
     _require_sector_off_atoms(params, lam, r)
-    return _result(_tilde(params, lambda loc: lam + 0j + loc, r) + 0.0,
-                   complex)
+    lam = lam + np.complex128(0.0)
+    return _result(_tilde(params, lambda loc: lam + loc, r) + 0.0, complex)
 
 
 def a_coefficient(params: LatticeParams, r: int) -> float:
@@ -182,46 +182,7 @@ def p1_small_t(params: LatticeParams, ts, r: int) -> np.ndarray:
 _ROUNDING = 1e-14  # relative rounding allowance of a sum over the measure
 _TOL = 1e-10  # certified absolute error of p1_diag and p1_tail_integral
 _FLOOR = 1e-280  # least location p**s the killed walk's lam = 0 sums reach
-
-
-def _gap_roots(params: LatticeParams, base, gap, last):
-    """Per gap, the y in (0, gap) where the float pole sum
-    f(y) = sum_{s <= last} w_s / ((p**s - base) - y) turns positive.
-
-    Each operation of f rounds monotonically in y, so the adjacent floats
-    lo < hi with f(lo) <= 0 < f(hi) do not depend on the search, and
-    y = (lo + hi)/2 rounds onto one of them.  Brackets (tiny, gap) take
-    Newton steps in 1/y (atom j+1's pole -w/y is linear there) from their
-    midpoint, with y**2 f'(y) = sum w_s / (((p**s - base) - y)/y)**2 from
-    the same pass (near y = tiny, f y rounds to -w and the step is lost).
-    A step moves at least one float; one that does not land inside the
-    open bracket is replaced by the bracket's midpoint, geometric while
-    the bracket spans a factor 4.  Only open brackets are evaluated.
-    """
-    lo, hi = np.full(len(base), np.finfo(float).tiny), gap.copy()
-    i, x = np.arange(len(base)), (lo + hi) / 2.0
-    # far atoms' (d/x)**2 may overflow to inf; 1 + y f/(y**2 f') may be 0
-    with np.errstate(over="ignore", divide="ignore"):
-        while i.size:
-            b, x1 = base[None, i], x[None]  # one row each: f and the slope
-
-            def term(loc, w):
-                d = (loc - b) - x1
-                return np.concatenate([w / d, w / (d / x1) ** 2], axis=-2)
-
-            value, slope = _sum_atoms(_atom_table(params), term, 0, last[i],
-                                      np.zeros((2, len(i))))
-            up = value > 0.0  # narrow the brackets at x by the sign of f(x)
-            hi[i[up]], lo[i[~up]] = x[up], x[~up]
-            z = x / (1.0 + value * x / slope)
-            z = np.where(z == x, np.nextafter(x, np.where(up, -1.0, 1.0)), z)
-            low, high = lo[i], hi[i]
-            mid = np.where(high > 4.0 * low, np.sqrt(low) * np.sqrt(high),
-                           (low + high) / 2.0)
-            z = np.where((low < z) & (z < high), z, mid)
-            open_ = (low < z) & (z < high)
-            i, x = i[open_], z[open_]
-    return (lo + hi) / 2.0
+_root_table = lru_cache(maxsize=16)(lambda params: [np.empty((0, 2))])
 
 
 @lru_cache(maxsize=64)
@@ -237,7 +198,7 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     per step, so sum_{j >= J} c_j <= b_J nu/(nu-1).  A root is solved for
     y = mu_j - p**(j+1) (atom j+1 then gives -y exactly; y/mu_j falls like
     (p nu)**-j when transient) down to adjacent floats across the sign
-    change of the pole sum, all gaps at once (:func:`_gap_roots`).  Atoms
+    change of the pole sum, once per lattice (``_root_table``).  Atoms
     past j+1+K add < 2**-60 of atom j+1's share at the end of the gap.
     """
     nu, p = params.nu, params.p
@@ -252,19 +213,22 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
             break
     else:
         raise DomainError(f"r = {r}: the measure needs atoms of float weight 0")
-    locs = atoms[:n_roots + 1, 0]
-    base = locs[1:]
-    last = np.arange(n_roots) + 1 + _last_index(
-        0, (1.0 / (p * coeff), 1.0 / nu, 2.0**-60))
-    y = _gap_roots(params, base, -np.diff(locs), last)
-    with np.errstate(over="ignore"):  # far atoms' (d/y)**2 may overflow to inf
-        slope = _sum_atoms(  # y**2 * -R'(-mu), which does not underflow
-            atoms, lambda loc, w: w / (((loc - base) - y) / y) ** 2, 0, last)
+    base, table = atoms[1:n_roots + 1, 0], _root_table(params)
+    if len(table[0]) < n_roots:  # solve the gaps not solved yet, all at once
+        j = np.arange(len(table[0]), n_roots)
+        b, last = base[j], j + 1 + _last_index(
+            0, (1.0 / (p * coeff), 1.0 / nu, 2.0**-60))
+        y = _secular_roots(atoms, b, atoms[j, 0] - b, last, 0.0, -1.0)
+        with np.errstate(over="ignore"):  # far atoms' (d/y)**2 may be inf
+            slope = _sum_atoms(atoms, lambda loc, w:  # does not underflow
+                               w / (((loc - b) - y) / y) ** 2, 0, last)
+        table[0] = np.concatenate([table[0], np.column_stack([y, slope])])
+    y, slope = table[0][:n_roots].T
     c = np.concatenate([coeff * float(nu) ** -np.arange(r - 1),
                         [nu ** (1.0 - r) * (nu - 2.0) / (nu - 1.0)],
                         (_tilde(params, lambda loc: (loc - base) - y, r) * y)
                         ** 2 / slope])
-    rows = np.column_stack([np.concatenate([locs[:r], base + y]), c])
+    rows = np.column_stack([np.append(atoms[:r, 0], base + y), c])
     rows.flags.writeable = False
     return rows, tail
 
@@ -315,7 +279,7 @@ def _measure_integral(params: LatticeParams, T: float, gamma: float, r: int,
     missing = full - float(np.sum(c / mu))
     if gamma == 0.0:
         value += missing
-        bound = T * tail + _ROUNDING * full
+        bound = T * tail + _ROUNDING * np.maximum(full, value)  # or nan
     else:
         e, k = _left_out(T, gamma, params.s_h)
         tail_mu = abs(missing) + _ROUNDING * full

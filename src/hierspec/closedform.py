@@ -117,6 +117,45 @@ def _sum_atoms(atoms, term, first: int, last, total=0.0):
     return total
 
 
+def _secular_roots(atoms, base, gap, last, rho: float, side):
+    """Per bracket, the y in (0, gap) where -side (f(y) - rho) turns
+    positive, f(y) = sum_{s <= last} w_s / ((loc_s - base) + side y) over
+    the rows ``atoms``: a root mu = base - side y of sum w/(loc - mu) = rho,
+    side -1 in a gap above the pole at base, +1 below the lowest pole
+    (``gap`` past the root).  The value rounds monotonically in y, so the
+    search ends on the adjacent floats across its sign change, and
+    (lo + hi)/2 rounds onto one of them.  Newton steps in 1/y (the pole at
+    base is linear there) start at the midpoints; a step moves at least one
+    float, and one that leaves its open bracket becomes the bracket's
+    midpoint, geometric while it spans a factor 4."""
+    side, last = (np.broadcast_to(v, np.shape(base)) for v in (side, last))
+    lo, hi = np.full(len(base), np.finfo(float).tiny), np.array(gap)
+    i, x = np.arange(len(base)), (lo + hi) / 2.0
+    # far atoms' (d/x)**2 may overflow to inf; 1 + y f/(y**2 f') may be 0
+    with np.errstate(over="ignore", divide="ignore"):
+        while i.size:
+            b, s, x1 = base[None, i], side[None, i], x[None]  # f, slope
+
+            def term(loc, w):
+                d = (loc - b) + s * x1
+                return np.concatenate([w / d, w / (d / x1) ** 2], axis=-2)
+
+            f, slope = _sum_atoms(atoms, term, 0, last[i],
+                                  np.zeros((2, len(i))))
+            value = -s[0] * (f - rho)
+            up = value > 0.0  # narrow the brackets at x by the sign
+            hi[i[up]], lo[i[~up]] = x[up], x[~up]
+            z = x / (1.0 + value * x / slope)
+            z = np.where(z == x, np.nextafter(x, np.where(up, -1.0, 1.0)), z)
+            low, high = lo[i], hi[i]
+            mid = np.where(high > 4.0 * low, np.sqrt(low) * np.sqrt(high),
+                           (low + high) / 2.0)
+            z = np.where((low < z) & (z < high), z, mid)
+            open_ = (low < z) & (z < high)
+            i, x = i[open_], z[open_]
+    return (lo + hi) / 2.0
+
+
 def _k0(params: LatticeParams, lam: float) -> int:
     """min{k >= 0 : p**k < lam}, robust at the atom boundaries: it is
     floor(ln lam / ln p) + 1, up to one step of rounding undone here."""

@@ -8,10 +8,14 @@ volume has no exact zero modes, so any eigenvalue above it is a
 genuine bound state at working precision.
 
 Every site carries the same spectral measure of -L, the N + 1 entries
-of :func:`dirichlet_spectrum` of weight multiplicity / nu**N; the
-rank-one threshold 1/G_0(0) and the secular equation c G_lam(0) = 1 sum
-over it, and the Birman-Schwinger count reads the distance table
-G_tau(d), d = 0..N, of :meth:`HaarBasis.green_by_distance`.
+loc of :func:`dirichlet_spectrum` of weight w = multiplicity / nu**N
+(the automorphisms act transitively), so G_lam(x,x) = sum w/(lam + loc).
+The rank-one threshold 1/G_0(0) sums over it, and the secular equation
+c G_lam(0) = 1 has one root per gap and one above the spectrum
+(:func:`closedform._secular_roots`); with each -loc of multiplicity one
+less, they are the spectrum of L + c delta_x.  The Birman-Schwinger
+count reads the distance table G_tau(d), d = 0..N, of
+:meth:`HaarBasis.green_by_distance`.
 :meth:`Potential.diagonal` is the one place where a potential becomes
 the volume diagonal of L + V, behind the one check that its sites lie
 in the volume.  Two solver paths:
@@ -30,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CertificationError, DomainError
+from .closedform import _secular_roots
+from .errors import DomainError
 from .hierops import (DENSE_CAP_DEFAULT, FAST_CAP_DEFAULT, HaarBasis,
                       VolumeGrid, apply_laplacian, assemble_dense,
                       dirichlet_spectrum, hier_distance_matrix,
@@ -39,7 +44,6 @@ from .lattice import LatticeParams, Site, cube_of, cube_sites, hier_distance, \
     rho_of_distance
 
 POSITIVITY_THRESHOLD = 1e-12
-_SECULAR_STEPS = 100  # Newton steps allowed for the secular equation
 
 
 @dataclass(frozen=True)
@@ -231,48 +235,36 @@ def secular_coupling_threshold(params: LatticeParams) -> float:
     return (params.p * params.nu - 1.0) / (params.p * (params.nu - 1.0))
 
 
-def _site_green(grid: VolumeGrid, lam: float) -> tuple[float, float]:
-    """(G, -dG/dlam), G = G_lam(x,x) = Tr (lam - L)^(-1) / nu**N at every
-    site x (the automorphisms act transitively): sum w / (lam + loc) over
-    :func:`dirichlet_spectrum`'s entries loc, w = multiplicity / nu**N."""
-    loc, mult = np.array(dirichlet_spectrum(grid).entries).T
-    terms = mult / grid.n_sites / (lam + loc)
-    return float(np.sum(terms)), float(np.sum(terms / (lam + loc)))
-
-
 def volume_coupling_threshold(grid: VolumeGrid) -> float:
-    """Finite-volume critical coupling 1 / G_0(0) for V = c * delta_x,
-    G_0(0) the same at every site x (:func:`_site_green`).  Converges to
-    :func:`secular_coupling_threshold` as the depth grows (transient
-    case) or to 0 (recurrent case)."""
-    return 1.0 / _site_green(grid, 0.0)[0]
+    """Finite-volume critical coupling 1 / G_0(0) for V = c * delta_x, the
+    same at every site x; converges to :func:`secular_coupling_threshold`
+    as the depth grows (transient case) or to 0 (recurrent case)."""
+    loc, mult = np.array(dirichlet_spectrum(grid).entries).T
+    return 1.0 / float(np.sum(mult / grid.n_sites / loc))
+
+
+def _delta_spectrum(grid: VolumeGrid, coupling: float):
+    """(values, multiplicities) of L + c delta_x, c > 0, at any site x:
+    each -loc with mult - 1, and the simple -mu, mu the roots of
+    sum w / (loc - mu) = 1/c, one in each gap below an entry loc and one
+    below the lowest, in (loc_min - 2c, loc_min) as sum w = 1."""
+    loc, mult = np.array(dirichlet_spectrum(grid).entries).T
+    side = np.append(np.full(len(loc) - 1, -1.0), 1.0)
+    base = np.append(loc[1:], loc[-1])
+    gap = np.append(-np.diff(loc), 2.0 * coupling)
+    rows = np.column_stack([loc, mult / grid.n_sites])
+    mu = base - side * _secular_roots(rows, base, gap, len(loc) - 1,
+                                      1.0 / coupling, side)
+    return np.append(-mu, -loc), np.r_[[1] * len(mu), mult - 1].astype(int)
 
 
 def secular_eigenvalue(grid: VolumeGrid, site: Site, coupling: float) -> float:
-    """Positive eigenvalue of L + c*delta_site from the secular equation
-    c G_lam(0) = 1 on the finite volume.
-
-    G_lam(0) (:func:`_site_green`) is a Stieltjes function of lam above
-    the spectrum, so h(lam) = 1/G_lam(0) - c is increasing and concave
-    there.  Newton's iterates on h from lam = 0, where h < 0 above the
-    threshold (the one check of :func:`volume_coupling_threshold`), rise
-    to the root without passing it; the last one before a step stops
-    increasing lam is returned, and more than ``_SECULAR_STEPS`` steps
-    raise :class:`CertificationError`.
-    G_lam(0) does not depend on the site, so ``site`` is only checked to
-    lie in the volume.
-    """
+    """Positive eigenvalue of L + c*delta_site, the top of
+    :func:`_delta_spectrum`: positive iff c exceeds
+    :func:`volume_coupling_threshold`, else DomainError.  It does not
+    depend on the site, so ``site`` is only checked to lie in the volume."""
     if not 0 <= site < grid.n_sites:
         raise DomainError(f"site {site} outside the volume")
     if not coupling > volume_coupling_threshold(grid):  # or nan
         raise DomainError("coupling below the finite-volume threshold")
-    lam = 0.0
-    for _ in range(_SECULAR_STEPS):
-        green, slope = _site_green(grid, lam)
-        # h / h' = G (1 - c G) / -G'
-        step = green * (1.0 - coupling * green) / slope
-        if not lam - step > lam:
-            return lam
-        lam -= step
-    raise CertificationError(f"secular equation: Newton did not settle in "
-                             f"{_SECULAR_STEPS} steps")
+    return float(np.max(_delta_spectrum(grid, coupling)[0]))

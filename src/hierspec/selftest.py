@@ -18,7 +18,7 @@ from .errors import DivergentIntegralError
 from .hierops import HaarBasis, VolumeGrid, apply_laplacian, assemble_dense, \
     dirichlet_spectrum
 from .lattice import LatticeParams, hier_distance, sample_end_sites
-from .schrodinger import POSITIVITY_THRESHOLD, Potential, \
+from .schrodinger import POSITIVITY_THRESHOLD, Potential, _delta_spectrum, \
     count_above_threshold
 
 
@@ -165,6 +165,11 @@ def run_selftest(verbose: bool = False) -> int:
                              > POSITIVITY_THRESHOLD))
     check("Birman-Schwinger count = dense count (2, 1/2, N=8)",
           count_above_threshold(g8, pot) == dense_count)
+
+    closed = np.sort(np.repeat(*_delta_spectrum(g8, 0.3)))  # L + 0.3 delta_x
+    dense = assemble_dense(g8, Potential({5: 0.3}).diagonal(g8))
+    check("delta spectrum = dense spectrum (2, 1/2, N=8)",
+          np.max(np.abs(closed - scipy.linalg.eigvalsh(dense))) < 1e-13)
 
     failures = sum(1 for _, ok in checks if not ok)
     if verbose:

@@ -86,6 +86,15 @@ class TestTilde:
         with pytest.raises(DomainError):
             ann.resolvent_tilde(PA_2_HALF, 0.5, 0)
 
+    def test_scalar_calls_round_as_array_calls(self):
+        # at nu = 3 a real scalar divided as a Python complex used to round
+        # the head differently from numpy
+        pa = LatticeParams(3, 0.3)
+        lams = np.geomspace(1e-3, 1e3, 400)
+        assert np.array_equal(
+            [ann.resolvent_tilde(pa, lam, 5) for lam in lams.tolist()],
+            ann.resolvent_tilde(pa, lams, 5))
+
 
 class TestAnnihilatedResolvent:
     def test_zero_limit_weak_case(self):
@@ -368,6 +377,11 @@ class TestTailIntegrals:
         monkeypatch.setattr(ann, "_measure", lambda *args: (rows, 0.0))
         with pytest.raises(CertificationError, match="at t=2.0: bound nan"):
             ann.p1_diag(PA_2_QUARTER, np.array([2.0, 700.0]), 1)
+        # at gamma = 0 the missing mass R1(0) - sum c/mu is added to the
+        # value, and the bound holds the value, so its nan fails too
+        ann.p1_tail_integral.cache_clear()
+        with pytest.raises(CertificationError, match="T=2.0: bound nan"):
+            ann.p1_tail_integral(PA_2_QUARTER, 2.0, 1)
 
 
 class TestSpectralMeasure:

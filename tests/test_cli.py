@@ -338,7 +338,7 @@ class TestImports:
         assert out.stdout.strip() == "False"
 
     def test_scipy_optimize_not_loaded(self):
-        # the secular equation takes Newton steps of its own
+        # the secular equation's roots come from closedform's own solver
         code = ("import sys, hierspec, hierspec.cli\n"
                 "from hierspec.hierops import VolumeGrid\n"
                 "from hierspec.lattice import LatticeParams\n"

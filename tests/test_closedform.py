@@ -438,7 +438,8 @@ class TestSumAtoms:
     def test_distance_heads_round_nu_power_alike(self, monkeypatch, nu, r):
         # with the sums stubbed out, the free resolvent and the killed
         # walk's Rt return their heads -nu**-r / (lam + p**(r-1)), where
-        # float(nu)**r and float(nu**r) differ
+        # float(nu)**r and float(nu**r) differ; Rt divides in numpy
+        # complex arithmetic, as the free resolvent does at lam + 0j
         import hierspec.annihilated as ann
 
         def head_only(atoms, term, first, last, total=0.0):
@@ -448,36 +449,64 @@ class TestSumAtoms:
         monkeypatch.setattr(ann, "_sum_atoms", head_only)
         pa = LatticeParams(nu, 0.3)
         lams = np.geomspace(1e-3, 1e3, 200).tolist()
-        assert [cf.resolvent(pa, lam, r).real for lam in lams] == [
+        assert [cf.resolvent(pa, lam + 0j, r).real for lam in lams] == [
             ann.resolvent_tilde(pa, lam, r).real for lam in lams]
+
+    @staticmethod
+    def cold_measure(ann, pa, r, tail=1e-40):
+        """_measure with its cache and the lattice's solved roots cleared."""
+        ann._measure.cache_clear()
+        ann._root_table.cache_clear()
+        return ann._measure(pa, r, tail)
 
     def test_measure_bits(self, monkeypatch):
         import hierspec.annihilated as ann
         pa = PA_2_QUARTER
-        ann._measure.cache_clear()
-        values = [ann._measure(pa, r) for r in range(1, 5)]
+        values = [self.cold_measure(ann, pa, r) for r in range(1, 5)]
         with monkeypatch.context() as m:
             m.setattr(ann, "_sum_atoms", atoms_one_by_one)
-            ann._measure.cache_clear()
-            reference = [ann._measure(pa, r) for r in range(1, 5)]
-        ann._measure.cache_clear()
+            m.setattr(cf, "_sum_atoms", atoms_one_by_one)  # the root search
+            reference = [self.cold_measure(ann, pa, r) for r in range(1, 5)]
+        self.cold_measure(ann, pa, 1)
         for (rows, tail), (rows_ref, tail_ref) in zip(values, reference):
             assert np.array_equal(rows, rows_ref) and tail == tail_ref
 
+    LATTICES = [PA_2_QUARTER, PA_4_HALF, LatticeParams(3, 0.3),
+                LatticeParams(2, 0.45)]
+
+    @pytest.mark.parametrize("pa", LATTICES)
+    def test_measure_bits_in_any_build_order(self, pa):
+        # the roots are solved once per lattice and grown on demand: every
+        # order of r and tail gives the bits of a cold build
+        import hierspec.annihilated as ann
+        keys = [(r, tail) for r in (1, 2, 3, 8, 15)
+                for tail in (1e-40, 1e-300)]
+        cold = {key: self.cold_measure(ann, pa, *key) for key in keys}
+        interleaved = keys[::2] + keys[1::2][::-1]
+        for order in (keys, keys[::-1], interleaved):
+            ann._measure.cache_clear()
+            ann._root_table.cache_clear()
+            for key in order:
+                rows, tail = ann._measure(pa, *key)
+                assert np.array_equal(rows, cold[key][0]), key
+                assert tail == cold[key][1], key
+
     @staticmethod
-    def bisected_roots(params, base, gap, last):
-        """Reference for annihilated._gap_roots: every gap bisected at once
-        down to adjacent floats, geometrically while a bracket spans a
+    def bisected_roots(atoms, base, gap, last, rho, side):
+        """Reference for closedform._secular_roots: every bracket bisected
+        at once down to adjacent floats, geometrically while it spans a
         factor 4, one array pass per step."""
         lo, hi = np.full(len(base), np.finfo(float).tiny), gap
+        last = np.broadcast_to(last, np.shape(base))  # one per bracket
         with np.errstate(divide="ignore"):  # a midpoint may hit the gap end
             while True:
                 mid = np.where(hi > 4.0 * lo, np.sqrt(lo) * np.sqrt(hi),
                                (lo + hi) / 2.0)
                 if np.all((mid <= lo) | (mid >= hi)):
                     break
-                up = cf._sum_atoms(cf._atom_table(params), lambda loc, w:
-                                   w / ((loc - base) - mid), 0, last) > 0.0
+                f = cf._sum_atoms(atoms, lambda loc, w:
+                                  w / ((loc - base) + side * mid), 0, last)
+                up = -side * (f - rho) > 0.0
                 lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
         return (lo + hi) / 2.0
 
@@ -487,21 +516,20 @@ class TestSumAtoms:
         # pole sum between y and a neighbouring float, and the measure has
         # the bits of one whose roots are bisected
         import hierspec.annihilated as ann
-        gap_roots, calls = ann._gap_roots, []
+        secular_roots, calls = ann._secular_roots, []
 
         def spy(*args):
-            calls.append((args, gap_roots(*args)))
+            calls.append((args, secular_roots(*args)))
             return calls[-1][1]
 
-        for pa in (PA_2_QUARTER, PA_4_HALF, LatticeParams(3, 0.3),
-                   LatticeParams(2, 0.45)):
+        for pa in self.LATTICES:
             for tail in (1e-40, 1e-300):
                 with monkeypatch.context() as m:
-                    m.setattr(ann, "_gap_roots", spy)
-                    ann._measure.cache_clear()
-                    rows, tail_weight = ann._measure(pa, r, tail)
+                    m.setattr(ann, "_secular_roots", spy)
+                    rows, tail_weight = self.cold_measure(ann, pa, r, tail)
                 mu, c = rows.T
-                (_, base, gap, last), y = calls.pop()
+                (_, base, gap, last, rho, side), y = calls.pop()
+                assert (rho, side) == (0.0, -1.0)
                 assert np.array_equal(mu[r:], base + y)
                 assert np.all((0.0 < y) & (y < gap))
                 with np.errstate(divide="ignore"):
@@ -511,13 +539,25 @@ class TestSumAtoms:
                                     np.nextafter(y, 1.0))]
                 assert np.all(np.where(up[1], ~up[0], up[2]))
                 with monkeypatch.context() as m:
-                    m.setattr(ann, "_gap_roots", self.bisected_roots)
-                    ann._measure.cache_clear()
-                    rows_ref, tail_ref = ann._measure(pa, r, tail)
+                    m.setattr(ann, "_secular_roots", self.bisected_roots)
+                    rows_ref, tail_ref = self.cold_measure(ann, pa, r, tail)
                 mu_ref, c_ref = rows_ref.T
                 assert np.array_equal(mu, mu_ref)
                 assert np.array_equal(c, c_ref) and tail_weight == tail_ref
-        ann._measure.cache_clear()
+        self.cold_measure(ann, pa, r)
+
+    @pytest.mark.parametrize("nu, p, depth, c", [
+        (2, 0.5, 8, 0.3), (3, 0.3, 5, 2.0), (4, 0.5, 5, 0.5),
+        (5, 0.5, 4, 5.0)])
+    def test_delta_roots_end_on_adjacent_floats(self, monkeypatch, nu, p,
+                                                depth, c):
+        # the volume's secular roots, the open bracket above the spectrum
+        # included, have the bits of bisected ones
+        import hierspec.schrodinger as sch
+        g = VolumeGrid(LatticeParams(nu, p), depth)
+        values = sch._delta_spectrum(g, c)[0]
+        monkeypatch.setattr(sch, "_secular_roots", self.bisected_roots)
+        assert np.array_equal(values, sch._delta_spectrum(g, c)[0])
 
     def test_memory_is_a_few_grids(self):
         import tracemalloc

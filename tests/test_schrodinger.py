@@ -5,12 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hierspec.closedform as cf
 from hierspec.errors import DomainError
-from hierspec.hierops import HaarBasis, VolumeGrid, assemble_dense
+from hierspec.hierops import (HaarBasis, VolumeGrid, assemble_dense,
+                              dirichlet_spectrum)
 from hierspec.lattice import LatticeParams
-from hierspec.schrodinger import (Potential, count_above_threshold,
+from hierspec.schrodinger import (Potential, _delta_spectrum,
+                                  count_above_threshold,
                                   delta_potential, positive_spectrum,
                                   potential_from_json, potential_to_json,
                                   powerlaw_potential,
@@ -133,6 +136,29 @@ class TestPositiveSpectrum:
         assert c * cf.resolvent(pa, lam, 0).real == pytest.approx(
             1.0, abs=1e-6)
         assert secular_eigenvalue(g, site, c) == pytest.approx(lam, abs=1e-12)
+
+    @pytest.mark.parametrize("nu, p, depth, c", [
+        (2, 0.5, 8, 0.3), (3, 0.3, 5, 2.0), (4, 0.5, 5, 0.9),
+        (2, 0.25, 10, 5.0), (5, 0.5, 4, 5.0), (4, 0.5, 5, 0.5)])
+    def test_delta_spectrum_is_exact(self, nu, p, depth, c):
+        # the whole spectrum of L + c delta_x: each -loc of the stated
+        # spectrum with multiplicity mult - 1, one secular root per gap and
+        # one above the top; c = 0.5 at (4, 1/2, 5) is below the threshold
+        # 0.671, so the top root lies in (-b_N, 0)
+        g = VolumeGrid(LatticeParams(nu, p), depth)
+        loc, mult = np.array(dirichlet_spectrum(g).entries).T
+        values, mults = _delta_spectrum(g, c)
+        roots = -values[:depth + 1]  # one per gap, then the top
+        assert np.array_equal(values[depth + 1:], -loc)
+        assert np.array_equal(mults, [1] * (depth + 1) + list(mult - 1))
+        assert np.all((loc[1:] < roots[:-1]) & (roots[:-1] < loc[:-1]))
+        below = c < volume_coupling_threshold(g)
+        assert (-loc[-1] < -roots[-1] < 0.0) if below else -roots[-1] > 0.0
+        dense = assemble_dense(g, delta_potential(g.n_sites - 1,
+                                                  c).diagonal(g))
+        spectrum = np.sort(np.repeat(values, mults))
+        assert len(spectrum) == g.n_sites
+        assert np.max(np.abs(spectrum - scipy.linalg.eigvalsh(dense))) <= 1e-13
 
     @pytest.mark.parametrize("nu, p, depth", [
         (2, 0.5, 8), (3, 0.3, 5), (4, 0.5, 5), (2, 0.25, 10), (2, 0.99, 12)])
