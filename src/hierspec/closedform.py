@@ -123,14 +123,15 @@ def _secular_roots(atoms, base, gap, last, rho: float, side):
     the rows ``atoms``: a root mu = base - side y of sum w/(loc - mu) = rho,
     side -1 in a gap above the pole at base, +1 below the lowest pole
     (``gap`` past the root).  The value rounds monotonically in y, so the
-    search ends on the adjacent floats across its sign change, and
-    (lo + hi)/2 rounds onto one of them.  Newton steps in 1/y (the pole at
-    base is linear there) start at the midpoints; a step moves at least one
-    float, and one that leaves its open bracket becomes the bracket's
-    midpoint, geometric while it spans a factor 4."""
+    search ends on the adjacent floats across its sign change, and the
+    midpoint lo/2 + hi/2 rounds onto one of them (as (lo + hi)/2 does,
+    but with no overflow near the largest float).  Newton steps in 1/y
+    (the pole at base is linear there) start at the midpoints; a step
+    moves at least one float, and one that leaves its open bracket becomes
+    the bracket's midpoint, geometric while it spans a factor 4."""
     side, last = (np.broadcast_to(v, np.shape(base)) for v in (side, last))
     lo, hi = np.full(len(base), np.finfo(float).tiny), np.array(gap)
-    i, x = np.arange(len(base)), (lo + hi) / 2.0
+    i, x = np.arange(len(base)), lo / 2.0 + hi / 2.0
     # far atoms' (d/x)**2 may overflow to inf; 1 + y f/(y**2 f') may be 0
     with np.errstate(over="ignore", divide="ignore"):
         while i.size:
@@ -149,11 +150,11 @@ def _secular_roots(atoms, base, gap, last, rho: float, side):
             z = np.where(z == x, np.nextafter(x, np.where(up, -1.0, 1.0)), z)
             low, high = lo[i], hi[i]
             mid = np.where(high > 4.0 * low, np.sqrt(low) * np.sqrt(high),
-                           (low + high) / 2.0)
+                           low / 2.0 + high / 2.0)
             z = np.where((low < z) & (z < high), z, mid)
             open_ = (low < z) & (z < high)
             i, x = i[open_], z[open_]
-    return (lo + hi) / 2.0
+    return lo / 2.0 + hi / 2.0
 
 
 def _k0(params: LatticeParams, lam: float) -> int:

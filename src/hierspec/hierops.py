@@ -153,6 +153,16 @@ def hier_distance_matrix(grid: VolumeGrid, sites) -> np.ndarray:
     return d
 
 
+def distance_entries(grid: VolumeGrid) -> np.ndarray:
+    """a_r, r = 0..N: the off-diagonal entry of L at distance r >= 1,
+    (1-p) p**(r-1) / (nu**(r-1) (nu-p)) (entry 0 is unused)."""
+    nu, p = grid.params.nu, grid.params.p
+    r = np.arange(grid.depth + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        return (1.0 - p) * p ** (r - 1.0) / (np.float64(nu) ** (r - 1.0)
+                                             * (nu - p))
+
+
 def assemble_dense(grid: VolumeGrid, diagonal=None) -> np.ndarray:
     """Dense symmetric matrix of L + V on the volume.
 
@@ -174,9 +184,7 @@ def assemble_dense(grid: VolumeGrid, diagonal=None) -> np.ndarray:
             f"dense path needs nu**depth <= {DENSE_CAP_DEFAULT}, got {n}")
     if diagonal is not None and np.shape(diagonal) != (n,):
         raise DomainError("potential diagonal has wrong length")
-    r = np.arange(N + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        table = (1.0 - p) * p ** (r - 1.0) / (np.float64(nu) ** (r - 1.0) * (nu - p))
+    table = distance_entries(grid)
     m = np.empty((n, n))
     for rank in range(N, 0, -1):
         block = nu**rank

@@ -20,7 +20,10 @@ count reads the distance table G_tau(d), d = 0..N, of
 the volume diagonal of L + V, behind the one check that its sites lie
 in the volume.  Two solver paths:
 
-* dense (volume within the cap): full symmetric eigendecomposition;
+* dense (volume within the cap): symmetric eigendecomposition of L + V
+  on the span V touches, the sites of the smallest cube holding V's
+  support plus one vector per outer shell (:func:`_support_cube_matrix`);
+  the rest of the volume carries L alone, all below -b_N < 0;
 * iterative (large volumes): Lanczos with full reorthogonalization
   computes exactly as many eigenpairs as the Birman-Schwinger count
   (:func:`count_above_threshold`) certifies.
@@ -38,8 +41,8 @@ from .closedform import _secular_roots
 from .errors import DomainError
 from .hierops import (DENSE_CAP_DEFAULT, FAST_CAP_DEFAULT, HaarBasis,
                       VolumeGrid, apply_laplacian, assemble_dense,
-                      dirichlet_spectrum, hier_distance_matrix,
-                      lanczos_extreme)
+                      dirichlet_spectrum, distance_entries,
+                      hier_distance_matrix, lanczos_extreme)
 from .lattice import LatticeParams, Site, cube_of, cube_sites, hier_distance, \
     rho_of_distance
 
@@ -181,6 +184,63 @@ def count_above_threshold(grid: VolumeGrid, potential: Potential) -> int:
     return int(np.sum(mu > 1.0))
 
 
+def _support_cube_matrix(grid: VolumeGrid, potential: Potential):
+    """L + V on the span that V touches, or None where V vanishes.
+
+    The basis is the sites of the smallest cube C, of rank R >= 1, that
+    holds every site with V > 0, then e_k = 1_{S_k} / sqrt|S_k| for each
+    outer shell S_k = C_k minus C_{k-1}, k = R+1..N, with C_k the rank-k
+    cube about C and |S_k| = (nu-1) nu**(k-1): an m x m matrix,
+    m = nu**R + N - R.  The C x C block is the depth-R matrix, as its
+    entries depend on d <= R only; at R = N it is the whole matrix.  With
+    a_r the entry of L at distance r (:func:`distance_entries`) and d_0
+    its diagonal,
+
+        <delta_x, L e_k> = a_k sqrt|S_k|,
+        <e_j, L e_k> = a_max(j,k) sqrt(|S_j| |S_k|),  j != k,
+        <e_k, L e_k> = d_0 + sum_{r<k} a_r (nu-1) nu**(r-1)
+                       + a_k (nu-2) nu**(k-1).
+
+    The tree automorphisms that fix C pointwise commute with L + V, and
+    this span is their fixed space.  Its complement vanishes on C, so
+    there L + V = L <= -b_N < 0: no eigenvalue above tau is left out.
+    """
+    _support_inside(grid, potential)
+    pairs = sorted((s, v) for s, v in potential.support.items() if v > 0)
+    if not pairs:
+        return None
+    nu, p, N = grid.params.nu, grid.params.p, grid.depth
+    sites = np.array([s for s, _ in pairs], dtype=np.int64)
+    rank, q = 1, sites // nu
+    while q[0] != q[-1]:  # sorted, so all equal iff the ends are
+        rank, q = rank + 1, q // nu
+    if nu**rank > DENSE_CAP_DEFAULT:
+        raise DomainError(f"the support of V spans a rank-{rank} cube of "
+                          f"{nu**rank} sites, above the dense cap "
+                          f"{DENSE_CAP_DEFAULT}")
+    cube = VolumeGrid(grid.params, rank)
+    diag = np.zeros(cube.n_sites)
+    diag[sites - q[0] * cube.n_sites] = [v for _, v in pairs]
+    block = assemble_dense(cube, diag)
+    if rank == N:
+        return block
+    a = distance_entries(grid)
+    k = np.arange(rank + 1, N + 1)
+    power = np.float64(nu) ** np.arange(N)  # nu**(r-1), r = 1..N
+    inner = np.cumsum(a[1:] * (nu - 1.0) * power)[k - 2]  # sum over r < k
+    root = np.sqrt((nu - 1.0) * power[k - 1])  # sqrt|S_k|
+    edge = a[k] * root
+    c = cube.n_sites
+    m = np.empty((c + len(k),) * 2)
+    m[:c, :c] = block
+    m[:c, c:], m[c:, :c] = edge, edge[:, None]
+    shells = m[c:, c:]
+    shells[...] = a[np.maximum.outer(k, k)] * np.outer(root, root)
+    np.fill_diagonal(shells, (1.0 - p) / (nu - p) - 1.0 + inner
+                     + a[k] * (nu - 2.0) * power[k - 1])
+    return m
+
+
 def positive_spectrum(grid: VolumeGrid, potential: Potential,
                       method: str = "auto") -> EigenReport:
     """Eigenvalues of L + V above ``POSITIVITY_THRESHOLD``, with
@@ -188,14 +248,20 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
 
     ``method``: "dense" | "iterative" | "auto" (dense up to
     ``DENSE_CAP_DEFAULT`` sites).
-    The iterative path certifies completeness against the exact
-    Birman-Schwinger count before returning.  Every support site of V
-    must lie in the volume.
+    The dense path diagonalises L + V on the support cube of V plus one
+    vector per outer shell (:func:`_support_cube_matrix`), m = nu**R + N - R
+    rows for a support in a rank-R cube; the whole volume's matrix is
+    never built, and the cap bounds the cube, nu**R, not the volume.  The
+    iterative path certifies completeness against the
+    exact Birman-Schwinger count before returning.  Every support site of
+    V must lie in the volume.
     """
     if method == "auto":
         method = "dense" if grid.n_sites <= DENSE_CAP_DEFAULT else "iterative"
     if method == "dense":
-        m = assemble_dense(grid, potential.diagonal(grid))
+        m = _support_cube_matrix(grid, potential)
+        if m is None:
+            return EigenReport(eigenvalues=np.array([]), method="dense")
         # m.T is m in Fortran order, so LAPACK overwrites it with no copy
         vals = scipy.linalg.eigvalsh(m.T, overwrite_a=True)[::-1]
         pos = vals[vals > POSITIVITY_THRESHOLD]
@@ -247,11 +313,13 @@ def _delta_spectrum(grid: VolumeGrid, coupling: float):
     """(values, multiplicities) of L + c delta_x, c > 0, at any site x:
     each -loc with mult - 1, and the simple -mu, mu the roots of
     sum w / (loc - mu) = 1/c, one in each gap below an entry loc and one
-    below the lowest, in (loc_min - 2c, loc_min) as sum w = 1."""
+    below the lowest, in [loc_min - c, loc_min) as sum w = 1; that open
+    bracket ends at 2c, or at the largest float where 2c overflows."""
     loc, mult = np.array(dirichlet_spectrum(grid).entries).T
     side = np.append(np.full(len(loc) - 1, -1.0), 1.0)
     base = np.append(loc[1:], loc[-1])
-    gap = np.append(-np.diff(loc), 2.0 * coupling)
+    top = 2.0 * min(coupling, np.finfo(float).max / 2.0)
+    gap = np.append(-np.diff(loc), top)
     rows = np.column_stack([loc, mult / grid.n_sites])
     mu = base - side * _secular_roots(rows, base, gap, len(loc) - 1,
                                       1.0 / coupling, side)

@@ -19,7 +19,7 @@ from .hierops import HaarBasis, VolumeGrid, apply_laplacian, assemble_dense, \
     dirichlet_spectrum
 from .lattice import LatticeParams, hier_distance, sample_end_sites
 from .schrodinger import POSITIVITY_THRESHOLD, Potential, _delta_spectrum, \
-    count_above_threshold
+    count_above_threshold, positive_spectrum
 
 
 def _brute_distance(x, y, nu, max_rank=64):
@@ -160,11 +160,16 @@ def run_selftest(verbose: bool = False) -> int:
     sites = 8 * int(rng.integers(32)) + rng.choice(8, size=5, replace=False)
     pot = Potential(dict(zip((int(s) for s in sites),
                              rng.uniform(0.0, 1.0, size=5))))
-    dense = assemble_dense(g8, pot.diagonal(g8))
-    dense_count = int(np.sum(scipy.linalg.eigvalsh(dense)
-                             > POSITIVITY_THRESHOLD))
+    vals = scipy.linalg.eigvalsh(assemble_dense(g8, pot.diagonal(g8)))[::-1]
+    dense = vals[vals > POSITIVITY_THRESHOLD]
     check("Birman-Schwinger count = dense count (2, 1/2, N=8)",
-          count_above_threshold(g8, pot) == dense_count)
+          count_above_threshold(g8, pot) == len(dense))
+    # the same potential on its support cube plus one vector per shell
+    report = positive_spectrum(g8, pot)
+    check("positive spectrum = volume eigensolve (2, 1/2, N=8)",
+          report.count == len(dense) and np.all(
+              np.abs(report.eigenvalues - dense)
+              <= 1e-13 * np.maximum(1.0, np.abs(dense))))
 
     closed = np.sort(np.repeat(*_delta_spectrum(g8, 0.3)))  # L + 0.3 delta_x
     dense = assemble_dense(g8, Potential({5: 0.3}).diagonal(g8))

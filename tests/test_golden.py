@@ -6,13 +6,18 @@ comment header and the CRLF line ends.  Rewrite a file only for an
 intended change of output:
 
     python -m hierspec.cli ARGV... --output tests/data/golden/NAME
+
+The ``actual`` power sums of bounds.csv are also checked against a
+40-digit eigendecomposition, so a rewrite cannot pin a wrong value.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
 
 from hierspec.cli import main
+from hierspec.lattice import hier_distance
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 KILLED = ["--nu", "2", "--p", "0.25"]
@@ -49,3 +54,37 @@ def test_cli_output_is_golden(name, tmp_path):
     out = tmp_path / name
     assert main(CASES[name] + ["--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_bounds_actual_cells_against_mpmath():
+    # S_0.8 of L + theta (1+rho)**-3 on the rank-3 cube at 0, (2, 1/4, 6):
+    # a 40-digit eigendecomposition of the whole 64 x 64 matrix, built
+    # from the exact binary inputs of the CLI case
+    mpmath = pytest.importorskip("mpmath")
+    with (GOLDEN / "bounds.csv").open(newline="") as f:
+        rows = [r for r in csv.DictReader(line for line in f
+                                          if not line.startswith("#"))
+                if r["theorem"].startswith("lt")]
+    assert len(rows) == 12
+    nu, depth, radius = 2, 6, 3
+    n = nu**depth
+    with mpmath.workdps(40):
+        p = mpmath.mpf(0.25)
+        a = [(1 - p) * p ** (r - 1) / (nu ** (r - 1) * (nu - p))
+             for r in range(depth + 1)]
+        dist = [[hier_distance(x, y, nu) for y in range(n)] for x in range(n)]
+        actual = {}
+        for theta in (0.8, 1.6, 3.2):
+            m = mpmath.matrix(n, n)
+            for x in range(n):
+                for y in range(n):
+                    m[x, y] = a[dist[x][y]]
+                m[x, x] = (1 - p) / (nu - p) - 1
+                if x < nu**radius:
+                    m[x, x] += mpmath.mpf(theta) * p ** (1.5 * dist[0][x])
+            lam = mpmath.eigsy(m, eigvals_only=True)
+            actual[theta] = float(mpmath.fsum(
+                v ** mpmath.mpf(0.8) for v in lam if v > 0))
+    for row in rows:
+        exact = actual[float(row["theta"])]
+        assert float(row["actual"]) == pytest.approx(exact, rel=1e-15)

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import hierspec.closedform as cf
 from hierspec.errors import DomainError
 from hierspec.hierops import (HaarBasis, VolumeGrid, assemble_dense,
                               dirichlet_spectrum)
-from hierspec.lattice import LatticeParams
-from hierspec.schrodinger import (Potential, _delta_spectrum,
+from hierspec.lattice import LatticeParams, hier_distance
+from hierspec.schrodinger import (POSITIVITY_THRESHOLD, Potential,
+                                  _delta_spectrum, _support_cube_matrix,
                                   count_above_threshold,
                                   delta_potential, positive_spectrum,
                                   potential_from_json, potential_to_json,
@@ -183,6 +185,17 @@ class TestPositiveSpectrum:
         count_above_threshold(g, delta_potential(0, 5.0))  # the spy records
         assert {"__init__", "forward", "inverse"} <= set(calls)
 
+    @pytest.mark.parametrize("coupling",
+                             [1e307, 1e308, float(np.finfo(float).max)])
+    def test_secular_root_at_huge_coupling(self, coupling):
+        # the top root lies within the spectrum's width below c, so it is c
+        # to rounding; the open bracket's end and midpoints stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = secular_eigenvalue(VolumeGrid(PA_2_HALF, 6), 0, coupling)
+        assert np.isfinite(lam)
+        assert lam == pytest.approx(coupling, rel=1e-15)
+
     @pytest.mark.parametrize("site", [-1, 2**8])
     def test_secular_site_outside_volume_rejected(self, site):
         with pytest.raises(DomainError):
@@ -252,6 +265,104 @@ class TestPositiveSpectrum:
             tracemalloc.stop()
         assert report.count >= 1
         assert peak < 1.5 * g.n_sites**2 * 8
+
+    def test_dense_branch_is_support_sized(self):
+        # a rank-4 power law at depth 12 gives a 24 x 24 matrix, not the
+        # volume's 4096 x 4096 (134 MB)
+        g = VolumeGrid(PA_2_QUARTER, 12)
+        v = powerlaw_potential(PA_2_QUARTER, 0, 3.0, 3, 4)
+        tracemalloc.start()
+        try:
+            report = positive_spectrum(g, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.count >= 1 and report.method == "dense"
+        assert peak < 2**20
+
+
+def _volume_positive_spectrum(grid, potential):
+    """Brute force: eigenvalues above tau of the whole volume's matrix."""
+    vals = scipy.linalg.eigvalsh(assemble_dense(grid, potential.diagonal(
+        grid)))[::-1]
+    return vals[vals > POSITIVITY_THRESHOLD]
+
+
+def _support_rank(potential, nu):
+    """Rank R >= 1 of the smallest cube holding every site with V > 0."""
+    sites = [s for s, v in potential.support.items() if v > 0]
+    return max(1, max(hier_distance(sites[0], s, nu) for s in sites))
+
+
+class TestSupportCubeReduction:
+    @pytest.mark.parametrize("nu, p, depth", [
+        (2, 0.25, 8), (3, 0.3, 5), (4, 0.5, 4), (5, 0.4, 3)])
+    def test_equals_volume_eigensolve(self, nu, p, depth):
+        pa = LatticeParams(nu, p)
+        g = VolumeGrid(pa, depth)
+        n = g.n_sites
+        rng = np.random.default_rng(nu * 100 + depth)
+        # power laws of every rank off the origin
+        potentials = [powerlaw_potential(pa, int(rng.integers(n)),
+                                         float(rng.uniform(0.5, 8.0)), 2.0,
+                                         radius)
+                      for radius in range(depth + 1)]
+        # deltas, at the last site too
+        potentials += [delta_potential(int(rng.integers(n)), 5.0),
+                       delta_potential(n - 1, 0.9)]
+        # two sites straddling the boundary of each rank-k cube: R = k + 1
+        potentials += [Potential({nu**k - 1: 4.0, nu**k: 2.5})
+                       for k in range(1, depth)]
+        for size in (1, 3, 5):
+            sites = rng.choice(n, size=size, replace=False)
+            potentials.append(Potential(dict(zip(
+                (int(s) for s in sites), rng.uniform(0.2, 6.0, size=size)))))
+        for v in potentials:
+            rank = _support_rank(v, nu)
+            m = _support_cube_matrix(g, v)
+            assert m.shape == (nu**rank + depth - rank,) * 2
+            assert np.array_equal(m, m.T)
+            report = positive_spectrum(g, v)
+            exact = _volume_positive_spectrum(g, v)
+            assert report.method == "dense"
+            assert report.count == len(exact)
+            assert np.all(np.abs(report.eigenvalues - exact)
+                          <= 1e-13 * np.maximum(1.0, np.abs(exact)))
+
+    def test_zero_valued_site_does_not_widen_the_cube(self):
+        g = VolumeGrid(PA_2_HALF, 8)
+        v = Potential({3: 5.0, g.n_sites - 1: 0.0})  # d(3, 255) = 8
+        assert _support_cube_matrix(g, v).shape == (2 + 7, 2 + 7)
+        exact = _volume_positive_spectrum(g, v)
+        report = positive_spectrum(g, v)
+        assert report.count == len(exact) == 1
+        assert report.largest == pytest.approx(exact[0], rel=1e-13)
+
+    @pytest.mark.parametrize("support", [{}, {0: 0.0, 17: 0.0}])
+    def test_empty_support_has_no_spectrum(self, support):
+        g = VolumeGrid(PA_2_HALF, 8)
+        assert _support_cube_matrix(g, Potential(support)) is None
+        report = positive_spectrum(g, Potential(support), method="dense")
+        assert (report.count, report.method) == (0, "dense")
+        assert len(_volume_positive_spectrum(g, Potential(support))) == 0
+
+    def test_dense_sized_by_the_support_cube(self):
+        # above the volume cap, explicit dense works while the support's
+        # cube is within it, and names that cube when it is not
+        g = VolumeGrid(PA_2_HALF, 16)
+        inside = Potential({0: 3.0, 2**8 - 1: 3.0})
+        dense = positive_spectrum(g, inside, method="dense")
+        assert dense.count == count_above_threshold(g, inside) >= 1
+        with pytest.raises(DomainError, match="rank-14 cube of 16384 sites"):
+            positive_spectrum(g, Potential({0: 3.0, 2**13: 3.0}),
+                              method="dense")
+
+    def test_whole_volume_cube_is_the_volume_matrix(self):
+        # R = N: the reduction is the volume's matrix, bit for bit
+        g = VolumeGrid(PA_2_HALF, 6)
+        v = Potential({0: 2.0, 63: 1.5})
+        assert np.array_equal(_support_cube_matrix(g, v),
+                              assemble_dense(g, v.diagonal(g)))
 
 
 class TestCertifiedCounting:
