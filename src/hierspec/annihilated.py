@@ -130,29 +130,6 @@ def resolvent_annihilated(params: LatticeParams, lam, r: int):
 # small-t path: Krylov exponential of the deleted operator on a finite volume
 
 
-def _default_depth(params: LatticeParams, r: int) -> int:
-    by_size = max(2, round(math.log(16384) / math.log(params.nu)))
-    return max(r + 2, by_size)
-
-
-@lru_cache(maxsize=64)
-def _deleted_expm_setup(nu: int, p: float, r: int, depth: int):
-    params = LatticeParams(nu, p)
-    grid = VolumeGrid(params, depth)
-    x = nu ** (r - 1)  # first site at distance exactly r from x0 = 0
-
-    def matvec(v):
-        w = v.copy()
-        w[0] = 0.0
-        out = apply_laplacian(w, grid, mode="fast")
-        out[0] = 0.0
-        return out
-
-    v0 = np.zeros(grid.n_sites)
-    v0[x] = 1.0
-    return matvec, v0, x
-
-
 KRYLOV_TOL = 1e-11  # rounding allowed a Krylov p1 value outside [0, 1]
 
 
@@ -164,11 +141,22 @@ def p1_small_t(params: LatticeParams, ts, r: int) -> np.ndarray:
     why this path serves only small t.  All t share one Krylov basis.
     A value outside [0, 1] by more than the rounding allowance
     ``KRYLOV_TOL`` raises :class:`CertificationError`; within it the
-    value is returned as computed.
+    value is returned as computed.  Nothing is kept between calls.
     """
     _check_r(r)
-    matvec, v0, x = _deleted_expm_setup(params.nu, params.p, r,
-                                        _default_depth(params, r))
+    depth = max(r + 2, 2, round(math.log(16384) / math.log(params.nu)))
+    grid = VolumeGrid(params, depth)
+    x = params.nu ** (r - 1)  # first site at distance exactly r from x0 = 0
+
+    def matvec(v):  # the row and column of x0 zeroed
+        w = v.copy()
+        w[0] = 0.0
+        out = apply_laplacian(w, grid, mode="fast")
+        out[0] = 0.0
+        return out
+
+    v0 = np.zeros(grid.n_sites)
+    v0[x] = 1.0
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     vals = expm_action(matvec, v0, ts_arr)[:, x]
     _certify("p1 outside [0, 1] at t", ts_arr, np.maximum(vals - 1.0, -vals),

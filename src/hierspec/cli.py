@@ -84,7 +84,8 @@ def _finite_float(text: str) -> float:
 
 
 def _float_grid(spec: str):
-    """Parse 'a,b,c' or 'lo:hi:n' (geometric when lo>0) into finite floats."""
+    """Parse 'a,b,c' or 'lo:hi:n' (geometric when lo>0) into finite floats;
+    n is refused past the row cap before any point is made."""
     try:
         if ":" not in spec:
             return [_finite_float(x) for x in spec.split(",")]
@@ -93,8 +94,9 @@ def _float_grid(spec: str):
     except (ValueError, argparse.ArgumentTypeError):
         raise DomainError(f"malformed grid {spec!r}: want 'a,b,c' or "
                           f"'lo:hi:n' of finite numbers") from None
-    if count < 1:
-        raise DomainError("grid needs at least one point")
+    if not 1 <= count <= cf._MAX_ROWS:
+        raise DomainError(f"grid needs 1 to {cf._MAX_ROWS:g} points, "
+                          f"got {count}")
     if count == 1:
         return [lo]
     if lo > 0 and hi > lo:

@@ -44,6 +44,7 @@ from .lattice import LatticeParams
 SECTOR_ANGLE = 3.0 * math.pi / 4.0
 _MIN_DIST = 1e-13  # least distance of a resolvent's lam from an atom -p**s
 _MAX_TERMS = 100_000
+_MAX_ROWS = 10**6  # most points a grid, or poles a list, may hold
 
 
 @lru_cache(maxsize=16)
@@ -186,9 +187,17 @@ def ids_profile(params: LatticeParams, lam: float) -> float:
     """Scaling profile F(lam) = N(lam) * lam**(-s_h/2).
 
     Bounded and multiplicatively periodic in lam with period p; equals
-    nu**({z}-1) at z = ln(lam)/ln(p) away from the atoms.
+    nu**(z - k0(lam)) at z = ln(lam)/ln(p), the form taken where
+    lam**(-s_h/2) overflows or N(lam) underflows to 0.
     """
-    return ids(params, lam) * lam ** (-params.s_h / 2.0)
+    value = ids(params, lam)
+    if value > 0.0:
+        try:
+            return value * lam ** (-params.s_h / 2.0)
+        except OverflowError:
+            pass
+    z = math.log(lam) / math.log(params.p)
+    return float(params.nu) ** (z - _k0(params, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +269,7 @@ def heat_exterior_mass(params: LatticeParams, t, volume_rank: int):
     Closed form obtained by summing p(t, r) over the shells r > R
     (nu**(r-1) (nu-1) sites per shell):
 
-        1 - (1-1/nu) exp(-p**R t)
-          - (1-1/nu) nu**R sum_{s>R} exp(-p**s t) nu**(-s).
+        1 - (1-1/nu) sum_{j>=0} nu**(-j) exp(-p**(R+j) t).
     """
     if volume_rank < 0:
         raise DomainError("volume rank must be nonnegative")
@@ -269,14 +277,12 @@ def heat_exterior_mass(params: LatticeParams, t, volume_rank: int):
     if np.any(t < 0):
         raise DomainError("time must be nonnegative")
     nu, p = params.nu, params.p
-    # the terms past atom S weigh nu**R nu**-(S+1) at most
-    last = _last_index(volume_rank + 1,
-                       (float(nu) ** volume_rank, 1.0 / nu, 1e-14))
-    rest = _sum_atoms(_atom_table(params), _heat_term(t), volume_rank + 1,
-                      last, np.zeros(np.shape(t)))
-    value = (1.0 - (1.0 - 1.0 / nu) * np.exp(-(p**volume_rank) * t)
-             - nu**volume_rank * rest)
-    return _result(np.clip(value, 0.0, 1.0))
+    # the terms past shell j weigh nu**-(j+1) in all
+    last = _last_index(0, (1.0, 1.0 / nu, 1e-14))
+    shells = np.column_stack([p ** (volume_rank + np.arange(last + 1)),
+                              _atom_table(params)[:last + 1, 1]])
+    inside = _sum_atoms(shells, _heat_term(t), 0, last, np.zeros(np.shape(t)))
+    return _result(np.clip(1.0 - inside, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +353,7 @@ def resolvent_zero(params: LatticeParams, r: int = 0) -> float:
         raise DomainError("distance must be nonnegative")
     if r == 0:
         return params.p * (params.nu - 1.0) / (pnu - 1.0)
-    return (1.0 - params.p) / (pnu ** (r - 1) * (pnu - 1.0))
+    return (1.0 - params.p) / (pnu - 1.0) * pnu ** (1 - r)
 
 
 def resolvent_zero_constant(params: LatticeParams) -> float:
@@ -403,10 +409,17 @@ def theta(params: LatticeParams, t):
 def zeta_spectral(params: LatticeParams, z: complex) -> complex:
     """zeta(z) = (1-1/nu) p**z nu/(p**z nu - 1), by analytic continuation.
 
-    Rejected within 1e-13 of a pole (p**z nu = 1).
+    Rejected within 1e-13 of a pole (p**z nu = 1).  Where p**z nu
+    overflows, zeta = (1-1/nu)/(1 - p**-z/nu), which tends to 1 - 1/nu.
     """
     nu, p = params.nu, params.p
-    w = nu * cmath.exp(complex(z) * math.log(p))
+    log_pz = complex(z) * math.log(p)
+    try:
+        w = nu * cmath.exp(log_pz)
+    except OverflowError:
+        w = math.inf
+    if cmath.isinf(w):
+        return (1.0 - 1.0 / nu) / (1.0 - cmath.exp(-log_pz) / nu)
     if abs(w - 1.0) < 1e-13:
         raise SpectrumProximityError(f"z = {z} is (numerically) a zeta pole")
     return (1.0 - 1.0 / nu) * w / (w - 1.0)
@@ -416,10 +429,10 @@ def zeta_poles(params: LatticeParams, count: int) -> list[complex]:
     """First ``count`` poles of the zeta function: solutions of p**z nu = 1.
 
     z_k = s_h/2 + 2*pi*i*k/ln(1/p), k = 0, 1, ...  (spacing 2*pi, as
-    forced by the defining equation).
+    forced by the defining equation).  At most ``_MAX_ROWS`` poles.
     """
-    if count < 0:
-        raise DomainError("count must be nonnegative")
+    if not 0 <= count <= _MAX_ROWS:
+        raise DomainError(f"count must lie in [0, {_MAX_ROWS:g}], got {count}")
     step = 2.0 * math.pi / math.log(1.0 / params.p)
     return [complex(params.s_h / 2.0, step * k) for k in range(count)]
 

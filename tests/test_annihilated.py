@@ -8,6 +8,7 @@ finite-volume boundary leak where it applies.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,18 @@ class TestP1:
                 assert ratio == pytest.approx(predicted, rel=1e-12)
                 ratios.append(ratio)
             assert ratios[-1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_small_t_keeps_no_volume(self):
+        # each Krylov call builds its deleted operator and drops it
+        tracemalloc.start()
+        try:
+            for p in (0.25, 0.3, 0.35):
+                for r in (12, 13, 14):
+                    ann.p1_diag(LatticeParams(2, p), np.array([0.3, 0.9]), r)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.5 * 2**20
 
 
 class TestArrayCalls:

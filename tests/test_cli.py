@@ -5,11 +5,14 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+import hierspec.closedform as cf
 from hierspec.bounds import REPORT_COLUMNS, bound_report
-from hierspec.cli import format_table, main
+from hierspec.cli import (EXIT_CERTIFICATION, EXIT_DOMAIN, EXIT_OK,
+                          format_table, main)
 from hierspec.hierops import VolumeGrid
 from hierspec.lattice import LatticeParams
 from hierspec.schrodinger import powerlaw_potential
@@ -393,6 +396,45 @@ class TestInProcessMain:
             fresh = subprocess.run(RUN + argv, capture_output=True,
                                    timeout=120).stdout
             assert first == again and first.encode() == fresh
+
+    @pytest.mark.parametrize("argv", [
+        ["ids", "--nu", "2", "--p", "0.99", "--lam", "1e-5"],
+        ["zeta", "--nu", "2", "--p", "0.5", "--mode", "zeta", "--z-re",
+         "-1100"],
+        ["zeta", "--nu", "2", "--p", "0.5", "--mode", "zeta", "--z-re",
+         "-1e300"],  # argparse reads -1e300 as an option: a usage error
+        ["zeta", "--nu", "2", "--p", "0.5", "--mode", "zeta",
+         "--z-re=-1e300"],
+        ["heat", "--nu", "2", "--p", "0.5", "--t", f"0:1:{cf._MAX_ROWS + 1}"],
+        ["zeta", "--nu", "2", "--p", "0.5", "--count", str(cf._MAX_ROWS + 1)],
+        ["resolvent", "--nu", "2", "--p", "0.5", "--lam", "1e-300"],
+        ["annihilated", "--nu", "2", "--p", "0.25", "--mode", "tail", "--r",
+         "500", "--t", "1"],
+        ["walk", "--nu", "2", "--p", "0.5", "--horizon", "1e8"],
+        ["spectrum", "--nu", "2", "--p", "0.5", "--depth", "40"],
+    ])
+    def test_extreme_finite_inputs(self, capsys, argv):
+        # a table, or one line naming the fault; never a traceback
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CERTIFICATION)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["heat", "--t", f"0:1:{cf._MAX_ROWS + 1}"],
+        ["ids", "--lam", f"1e-3:1:{cf._MAX_ROWS + 1}"],
+        ["zeta", "--mode", "poles", "--count", str(cf._MAX_ROWS + 1)],
+    ])
+    def test_row_cap_refused_before_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = main([argv[0], "--nu", "2", "--p", "0.5"] + argv[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error:")
+        assert peak < 2**20
 
     def test_usage_error_after_a_success_exits_one(self, capsys):
         heat = ["heat", "--nu", "2", "--p", "0.5", "--t", "1"]

@@ -375,6 +375,73 @@ class TestThetaZeta:
         assert all(a > b for a, b in zip(locations, locations[1:]))
 
 
+class TestOutsideTheFloatRange:
+    """Where a closed form's intermediate power leaves the float range,
+    a form that stays in range gives the value, not an OverflowError."""
+
+    @pytest.mark.parametrize("nu, p", [(2, 0.99), (2, 0.5), (3, 0.3),
+                                       (4, 0.5), (7, 0.95), (2, 0.01)])
+    def test_ids_profile_against_mpmath(self, nu, p):
+        import mpmath  # test-only oracle (the "test" extra)
+        pa = LatticeParams(nu, p)
+        with mpmath.workdps(40):
+            pm = mpmath.mpf(p)
+            half_s_h = mpmath.log(nu) / mpmath.log(1 / pm)
+            for lam in np.geomspace(1e-300, 5.0, 60).tolist():
+                lm = mpmath.mpf(lam)
+                k0 = 0 if lam > 1.0 else int(mpmath.log(lm) / mpmath.log(pm))
+                while lam <= 1.0 and pm**k0 >= lm:
+                    k0 += 1
+                exact = float(mpmath.mpf(nu) ** -k0 * lm**-half_s_h)
+                assert cf.ids_profile(pa, lam) == pytest.approx(
+                    exact, rel=1e-11, abs=0.0)
+
+    def test_ids_profile_keeps_the_product_where_it_is_finite(self):
+        pa = LatticeParams(2, 0.99)
+        lam = 3.5e-5  # N(lam) = 2**-1020, lam**(-s_h/2) about 2**1020
+        assert cf.ids_profile(pa, lam) == (cf.ids(pa, lam)
+                                           * lam ** (-pa.s_h / 2.0))
+
+    @pytest.mark.parametrize("z", [-1100, complex(-1100, 0.7), -1e300,
+                                   complex(-1e300, 5.0)])
+    def test_zeta_tends_to_one_minus_one_over_nu(self, z):
+        for pa in (PA_2_HALF, PA_4_HALF):
+            assert cf.zeta_spectral(pa, z) == 1.0 - 1.0 / pa.nu
+        # the last z where p**z nu is finite gives the same value
+        assert cf.zeta_spectral(PA_2_HALF, -1000) == 0.5
+
+    @pytest.mark.parametrize("r", [1023, 1024, 1025, 1074, 1075, 2000])
+    def test_green_function_underflows(self, r):
+        # at (4,1/2): (1-p)/((p nu)**(r-1) (p nu - 1)) = 2**-r
+        assert cf.resolvent_zero(PA_4_HALF, r) == 2.0**-r
+
+    def test_green_function_decreases_into_the_subnormals(self):
+        # at (4, 0.75), p nu = 3: (p nu)**(r-1) is finite at r = 647 but
+        # its product with p nu - 1 = 2 is not
+        pa = LatticeParams(4, 0.75)
+        values = [cf.resolvent_zero(pa, r) for r in range(640, 700)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert cf.resolvent_zero(pa, 647) > cf.resolvent_zero(pa, 648) > 0.0
+
+    @pytest.mark.parametrize("pa, rank", [(LatticeParams(2, 0.9), 978),
+                                          (LatticeParams(2, 0.9), 1100),
+                                          (LatticeParams(2, 0.9), 5000),
+                                          (LatticeParams(3, 0.95), 620)])
+    def test_exterior_mass_past_nu_to_the_rank(self, pa, rank):
+        import mpmath
+        ts = np.array([0.0, 0.3, 1.0, 7.0, 1e3]) / pa.p**rank
+        got = cf.heat_exterior_mass(pa, ts, rank)
+        with mpmath.workdps(30):
+            nu, p = mpmath.mpf(pa.nu), mpmath.mpf(pa.p)
+            for t, value in zip(ts.tolist(), got.tolist()):
+                exact = 1 - (1 - 1 / nu) * (mpmath.exp(-p**rank * t) + sum(
+                    nu**-j * mpmath.exp(-p ** (rank + j) * t)
+                    for j in range(1, 120)))
+                assert value == pytest.approx(float(exact), abs=1e-14)
+        # p**R t underflows: the mass left out of the cube is 0 to 1e-14
+        assert 0.0 <= cf.heat_exterior_mass(PA_2_HALF, 1.0, 1100) <= 1e-14
+
+
 def atoms_one_by_one(atoms, term, first, last, total=0.0):
     """Reference for cf._sum_atoms: one row of the measure ``atoms`` at a
     time, in order of s."""
