@@ -177,8 +177,8 @@ _root_table = lru_cache(maxsize=16)(lambda params: [np.empty((0, 2))])
 def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     """(rows, tail): read-only (mu, c) rows as in :func:`_atom_table`, the
     atoms and roots mu_j, j < J, and tail >= sum_{j >= J} c_j, below
-    tail_weight unless p**(J+2) < _FLOOR; DomainError where J would pass
-    the atoms of :func:`_atom_table`.
+    tail_weight unless p**(J+2) < _FLOOR; DomainError where p**(r+1) is
+    below that floor, or J would pass the atoms of :func:`_atom_table`.
 
     For j >= r, |Rt(-mu_j)| <= |Rt(0)| / (1 - p**(j-r+1)); as R(-mu_j) = 0,
     Cauchy-Schwarz over the atoms s > j gives -R'(-mu_j) >= nu**(j+1) P_j**2,
@@ -190,6 +190,9 @@ def _measure(params: LatticeParams, r: int, tail_weight: float = 1e-40):
     past j+1+K add < 2**-60 of atom j+1's share at the end of the gap.
     """
     nu, p = params.nu, params.p
+    if p ** (r + 1) < _FLOOR:
+        raise DomainError(f"r = {r}: p**(r+1) is below the measure's float "
+                          f"floor {_FLOOR}")
     coeff = 1.0 - 1.0 / nu
     tilde0 = -resolvent_tilde(params, 0.0, r).real
     atoms, big_p = _atom_table(params), 0.0

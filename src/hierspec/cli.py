@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from functools import cache
 
@@ -308,7 +309,14 @@ def _cmd_selftest(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as DomainError (subparsers inherit the class)."""
+    """Raises usage errors as DomainError (subparsers inherit the class).
+    A negative number in exponent form, such as -1e300, is a value, not
+    an option: argparse's own pattern has no exponent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise DomainError(message)

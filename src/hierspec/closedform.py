@@ -236,7 +236,7 @@ def heat_kernel(params: LatticeParams, t, r: int = 0, tol: float = 1e-14):
     value = value + (tail_hi - np.minimum(tail_gap, tail_hi) / 2.0)
     if np.any(value < -10.0 * tol):
         raise CertificationError("heat kernel evaluated negative")
-    return _result(np.clip(value, 0.0, 1.0))
+    return _result(value)
 
 
 def heat_profile(params: LatticeParams, t, tol: float = 1e-12):
@@ -282,7 +282,7 @@ def heat_exterior_mass(params: LatticeParams, t, volume_rank: int):
     shells = np.column_stack([p ** (volume_rank + np.arange(last + 1)),
                               _atom_table(params)[:last + 1, 1]])
     inside = _sum_atoms(shells, _heat_term(t), 0, last, np.zeros(np.shape(t)))
-    return _result(np.clip(1.0 - inside, 0.0, 1.0))
+    return _result(1.0 - inside)
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +444,10 @@ def zeta_poles(params: LatticeParams, count: int) -> list[complex]:
 def _scaled_upper_gamma(a: float, x, log_x=None):
     """g = x**-a Gamma(a, x), a < 1, x > 0 (or an array), to ~1e-13: an atom
     mu adds T**(1-gamma) g(1-gamma, mu T) to int_T^inf t**-gamma e**-mu t dt
-    and g <= 1/(-a) for a < 0.  gammaincc for a > 0; else Legendre's
-    fraction for x >= 1, or x**-a (Gamma(a, 1) + int_x^1 t**(a-1) e**-t dt)
-    termwise, which stay accurate next to a = 0, -1, ... as well; there
-    ``log_x`` gives ln x where x = mu T underflows."""
-    if a > 0:
-        return math.gamma(a) * gammaincc(a, x) * np.power(x, -a)
+    and g <= 1/(-a) for a < 0.  Legendre's fraction for x >= 1, or
+    x**-a (Gamma(a, 1) + int_x^1 t**(a-1) e**-t dt) termwise, which stay
+    accurate next to a = 0, -1, ... as well; there ``log_x`` gives ln x
+    where x = mu T underflows.  :func:`_moment` takes a > 0 to gammaincc."""
     if isinstance(x, np.ndarray):
         return np.vectorize(_scaled_upper_gamma, otypes=[float])(a, x, log_x)
     if x < 1.0:

@@ -153,46 +153,68 @@ def hier_distance_matrix(grid: VolumeGrid, sites) -> np.ndarray:
     return d
 
 
-def distance_entries(grid: VolumeGrid) -> np.ndarray:
-    """a_r, r = 0..N: the off-diagonal entry of L at distance r >= 1,
-    (1-p) p**(r-1) / (nu**(r-1) (nu-p)) (entry 0 is unused)."""
-    nu, p = grid.params.nu, grid.params.p
-    r = np.arange(grid.depth + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        return (1.0 - p) * p ** (r - 1.0) / (np.float64(nu) ** (r - 1.0)
-                                             * (nu - p))
-
-
 def assemble_dense(grid: VolumeGrid, diagonal=None) -> np.ndarray:
-    """Dense symmetric matrix of L + V on the volume.
+    """Dense symmetric matrix of L + V on the span that V touches.
 
-    Entries follow from summing the defining series per site pair:
-    for r = d(x,y) >= 1,
+    ``diagonal`` holds V on the rank-R cube C at the origin: nu**R
+    entries, 1 <= R <= N, with R read from the length (``None`` is V = 0
+    and R = N).  The basis is the sites of C, then e_k = 1_{S_k}/sqrt|S_k|
+    for each outer shell S_k = C_k minus C_{k-1}, k = R+1..N, with C_k
+    the rank-k cube at the origin and |S_k| = (nu-1) nu**(k-1): one
+    m x m array, m = nu**R + N - R.  Summing the defining series per
+    site pair gives L's entry at distance r = d(x,y) >= 1 and its diagonal
 
-        M[x,y] = (1-p) p**(r-1) / (nu**(r-1) (nu-p)),
+        a_r = (1-p) p**(r-1) / (nu**(r-1) (nu-p)),   d_0 = (1-p)/(nu-p) - 1,
 
-    and M[x,x] = (1-p)/(nu-p) - 1 + V(x), with V the length-n array
-    ``diagonal`` (``None`` for V = 0).  The volume may hold at most
+    so the C x C block is a_d(x,y) off the diagonal, filled block by
+    block for r = R..1 (d(x,y) <= r on the diagonal blocks of the rank-r
+    cubes), and d_0 + V(x) on it.  The shells add
+
+        <delta_x, L e_k> = a_k sqrt|S_k|,
+        <e_j, L e_k> = a_max(j,k) sqrt(|S_j| |S_k|),  j != k,
+        <e_k, L e_k> = d_0 + sum_{r<k} a_r (nu-1) nu**(r-1)
+                       + a_k (nu-2) nu**(k-1).
+
+    The tree automorphisms that fix C pointwise commute with L + V, and
+    this span is their fixed space.  Its complement vanishes on C, so
+    there L + V = L <= -b_N < 0: the matrix holds every eigenvalue of
+    L + V above -b_N, for V on any rank-R cube moved to the origin, and
+    at R = N it is the volume's matrix.  C may hold at most
     ``DENSE_CAP_DEFAULT`` sites.
-
-    d(x,y) <= r on the diagonal blocks of the rank-r cubes, so M is filled
-    block by block for r = N..1: one n x n array, n**2 * 8 bytes.
     """
-    nu, p, N, n = grid.params.nu, grid.params.p, grid.depth, grid.n_sites
-    if n > DENSE_CAP_DEFAULT:
-        raise DomainError(
-            f"dense path needs nu**depth <= {DENSE_CAP_DEFAULT}, got {n}")
-    if diagonal is not None and np.shape(diagonal) != (n,):
-        raise DomainError("potential diagonal has wrong length")
-    table = distance_entries(grid)
-    m = np.empty((n, n))
-    for rank in range(N, 0, -1):
-        block = nu**rank
-        for start in range(0, n, block):
-            m[start:start + block, start:start + block] = table[rank]
-    np.fill_diagonal(m, (1.0 - p) / (nu - p) - 1.0)
+    nu, p, N = grid.params.nu, grid.params.p, grid.depth
+    sizes = [nu**r for r in range(1, N + 1)]
+    if diagonal is not None and (np.ndim(diagonal) != 1
+                                 or len(diagonal) not in sizes):
+        raise DomainError(f"potential diagonal of shape {np.shape(diagonal)}:"
+                          f" need nu**R entries, 1 <= R <= {N}")
+    rank = N if diagonal is None else sizes.index(len(diagonal)) + 1
+    c = nu**rank
+    if c > DENSE_CAP_DEFAULT:
+        raise DomainError(f"dense matrix on a rank-{rank} cube of {c} sites, "
+                          f"above the dense cap {DENSE_CAP_DEFAULT}")
+    r = np.arange(N + 1, dtype=float)
+    with np.errstate(over="ignore"):  # a_0 is unused
+        a = (1.0 - p) * p ** (r - 1.0) / (np.float64(nu) ** (r - 1.0)
+                                          * (nu - p))
+    d_0 = (1.0 - p) / (nu - p) - 1.0
+    k = np.arange(rank + 1, N + 1)
+    m = np.empty((c + len(k),) * 2)
+    cube, shells = m[:c, :c], m[c:, c:]
+    for j in range(rank, 0, -1):
+        block = nu**j
+        for start in range(0, c, block):
+            cube[start:start + block, start:start + block] = a[j]
+    np.fill_diagonal(cube, d_0)
     if diagonal is not None:
-        m[np.diag_indices_from(m)] += diagonal
+        cube[np.diag_indices(c)] += diagonal
+    power = np.float64(nu) ** np.arange(N)  # nu**(r-1), r = 1..N
+    inner = np.cumsum(a[1:] * (nu - 1.0) * power)[k - 2]  # sum over r < k
+    root = np.sqrt((nu - 1.0) * power[k - 1])  # sqrt|S_k|
+    edge = a[k] * root
+    m[:c, c:], m[c:, :c] = edge, edge[:, None]
+    shells[...] = a[np.maximum.outer(k, k)] * np.outer(root, root)
+    np.fill_diagonal(shells, d_0 + inner + a[k] * (nu - 2.0) * power[k - 1])
     return m
 
 

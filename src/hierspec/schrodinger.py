@@ -15,15 +15,14 @@ c G_lam(0) = 1 has one root per gap and one above the spectrum
 (:func:`closedform._secular_roots`); with each -loc of multiplicity one
 less, they are the spectrum of L + c delta_x.  The Birman-Schwinger
 count reads the distance table G_tau(d), d = 0..N, of
-:meth:`HaarBasis.green_by_distance`.
-:meth:`Potential.diagonal` is the one place where a potential becomes
-the volume diagonal of L + V, behind the one check that its sites lie
-in the volume.  Two solver paths:
+:meth:`HaarBasis.green_by_distance`.  Every path first checks that V's
+sites lie in the volume.  Two solver paths:
 
 * dense (volume within the cap): symmetric eigendecomposition of L + V
   on the span V touches, the sites of the smallest cube holding V's
-  support plus one vector per outer shell (:func:`_support_cube_matrix`);
-  the rest of the volume carries L alone, all below -b_N < 0;
+  support plus one vector per outer shell (:func:`assemble_dense`, the
+  one builder of L + V); the rest of the volume carries L alone, all
+  below -b_N < 0;
 * iterative (large volumes): Lanczos with full reorthogonalization
   computes exactly as many eigenpairs as the Birman-Schwinger count
   (:func:`count_above_threshold`) certifies.
@@ -41,8 +40,8 @@ from .closedform import _secular_roots
 from .errors import DomainError
 from .hierops import (DENSE_CAP_DEFAULT, FAST_CAP_DEFAULT, HaarBasis,
                       VolumeGrid, apply_laplacian, assemble_dense,
-                      dirichlet_spectrum, distance_entries,
-                      hier_distance_matrix, lanczos_extreme)
+                      dirichlet_spectrum, hier_distance_matrix,
+                      lanczos_extreme)
 from .lattice import LatticeParams, Site, cube_of, cube_sites, hier_distance, \
     rho_of_distance
 
@@ -184,61 +183,19 @@ def count_above_threshold(grid: VolumeGrid, potential: Potential) -> int:
     return int(np.sum(mu > 1.0))
 
 
-def _support_cube_matrix(grid: VolumeGrid, potential: Potential):
-    """L + V on the span that V touches, or None where V vanishes.
-
-    The basis is the sites of the smallest cube C, of rank R >= 1, that
-    holds every site with V > 0, then e_k = 1_{S_k} / sqrt|S_k| for each
-    outer shell S_k = C_k minus C_{k-1}, k = R+1..N, with C_k the rank-k
-    cube about C and |S_k| = (nu-1) nu**(k-1): an m x m matrix,
-    m = nu**R + N - R.  The C x C block is the depth-R matrix, as its
-    entries depend on d <= R only; at R = N it is the whole matrix.  With
-    a_r the entry of L at distance r (:func:`distance_entries`) and d_0
-    its diagonal,
-
-        <delta_x, L e_k> = a_k sqrt|S_k|,
-        <e_j, L e_k> = a_max(j,k) sqrt(|S_j| |S_k|),  j != k,
-        <e_k, L e_k> = d_0 + sum_{r<k} a_r (nu-1) nu**(r-1)
-                       + a_k (nu-2) nu**(k-1).
-
-    The tree automorphisms that fix C pointwise commute with L + V, and
-    this span is their fixed space.  Its complement vanishes on C, so
-    there L + V = L <= -b_N < 0: no eigenvalue above tau is left out.
-    """
+def _support_cube(grid: VolumeGrid, potential: Potential):
+    """V on the smallest cube, of rank R >= 1, that holds every site with
+    V > 0, as the nu**R diagonal of :func:`assemble_dense` (site x at
+    x % nu**R), or None where V vanishes."""
     _support_inside(grid, potential)
     pairs = sorted((s, v) for s, v in potential.support.items() if v > 0)
     if not pairs:
         return None
-    nu, p, N = grid.params.nu, grid.params.p, grid.depth
-    sites = np.array([s for s, _ in pairs], dtype=np.int64)
-    rank, q = 1, sites // nu
-    while q[0] != q[-1]:  # sorted, so all equal iff the ends are
-        rank, q = rank + 1, q // nu
-    if nu**rank > DENSE_CAP_DEFAULT:
-        raise DomainError(f"the support of V spans a rank-{rank} cube of "
-                          f"{nu**rank} sites, above the dense cap "
-                          f"{DENSE_CAP_DEFAULT}")
-    cube = VolumeGrid(grid.params, rank)
-    diag = np.zeros(cube.n_sites)
-    diag[sites - q[0] * cube.n_sites] = [v for _, v in pairs]
-    block = assemble_dense(cube, diag)
-    if rank == N:
-        return block
-    a = distance_entries(grid)
-    k = np.arange(rank + 1, N + 1)
-    power = np.float64(nu) ** np.arange(N)  # nu**(r-1), r = 1..N
-    inner = np.cumsum(a[1:] * (nu - 1.0) * power)[k - 2]  # sum over r < k
-    root = np.sqrt((nu - 1.0) * power[k - 1])  # sqrt|S_k|
-    edge = a[k] * root
-    c = cube.n_sites
-    m = np.empty((c + len(k),) * 2)
-    m[:c, :c] = block
-    m[:c, c:], m[c:, :c] = edge, edge[:, None]
-    shells = m[c:, c:]
-    shells[...] = a[np.maximum.outer(k, k)] * np.outer(root, root)
-    np.fill_diagonal(shells, (1.0 - p) / (nu - p) - 1.0 + inner
-                     + a[k] * (nu - 2.0) * power[k - 1])
-    return m
+    nu = grid.params.nu
+    c = nu ** max(1, hier_distance(pairs[0][0], pairs[-1][0], nu))
+    diag = np.zeros(c)
+    diag[[s % c for s, _ in pairs]] = [v for _, v in pairs]
+    return diag
 
 
 def positive_spectrum(grid: VolumeGrid, potential: Potential,
@@ -249,7 +206,7 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
     ``method``: "dense" | "iterative" | "auto" (dense up to
     ``DENSE_CAP_DEFAULT`` sites).
     The dense path diagonalises L + V on the support cube of V plus one
-    vector per outer shell (:func:`_support_cube_matrix`), m = nu**R + N - R
+    vector per outer shell (:func:`assemble_dense`), m = nu**R + N - R
     rows for a support in a rank-R cube; the whole volume's matrix is
     never built, and the cap bounds the cube, nu**R, not the volume.  The
     iterative path certifies completeness against the
@@ -259,9 +216,10 @@ def positive_spectrum(grid: VolumeGrid, potential: Potential,
     if method == "auto":
         method = "dense" if grid.n_sites <= DENSE_CAP_DEFAULT else "iterative"
     if method == "dense":
-        m = _support_cube_matrix(grid, potential)
-        if m is None:
+        diag = _support_cube(grid, potential)
+        if diag is None:
             return EigenReport(eigenvalues=np.array([]), method="dense")
+        m = assemble_dense(grid, diag)
         # m.T is m in Fortran order, so LAPACK overwrites it with no copy
         vals = scipy.linalg.eigvalsh(m.T, overwrite_a=True)[::-1]
         pos = vals[vals > POSITIVITY_THRESHOLD]

@@ -318,7 +318,8 @@ def test_criterion_09a_rank_one_threshold():
             f"dense bracket [{lo:.9f}, {hi:.9f}] misses the exact depth-6 "
             f"threshold 1/G_6 = {exact6:.9f}")
 
-        # the Haar-basis threshold against the closed form, N = 6..10
+        # the threshold read from dirichlet_spectrum against the closed
+        # form, N = 6..10
         depths = range(6, 11)
         c = {n: volume_coupling_threshold(VolumeGrid(pa, n)) for n in depths}
         for n in depths:

@@ -8,6 +8,7 @@ finite-volume boundary leak where it applies.
 
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -190,9 +191,15 @@ class TestP1:
             assert p0 - 1e-12 <= ann.p1_diag(pa, t, r) <= p0
 
     def test_measure_floor_refused(self):
-        # p**(r+1) = 4**-466 is below the measure's floor 1e-280
-        with pytest.raises(DomainError):
-            ann.p1_diag(PA_2_QUARTER, 2.0, 465)
+        # p**(r+1) <= 4**-466 is below the measure's floor 1e-280; a T = 1
+        # tail never asks for lam = 0, so the refusal names the measure
+        for r in (465, 500):
+            floor = re.escape(f"r = {r}: p**(r+1) is below the measure's "
+                              "float floor 1e-280")
+            with pytest.raises(DomainError, match=floor):
+                ann.p1_diag(PA_2_QUARTER, 2.0, r)
+            with pytest.raises(DomainError, match=floor):
+                ann.p1_tail_integral(PA_2_QUARTER, 1.0, r)
 
     @pytest.mark.parametrize("pa, r", [(LatticeParams(2, 1e-3), 110),
                                        (LatticeParams(2, 1e-20), 17)])

@@ -402,7 +402,7 @@ class TestInProcessMain:
         ["zeta", "--nu", "2", "--p", "0.5", "--mode", "zeta", "--z-re",
          "-1100"],
         ["zeta", "--nu", "2", "--p", "0.5", "--mode", "zeta", "--z-re",
-         "-1e300"],  # argparse reads -1e300 as an option: a usage error
+         "-1e300"],
         ["zeta", "--nu", "2", "--p", "0.5", "--mode", "zeta",
          "--z-re=-1e300"],
         ["heat", "--nu", "2", "--p", "0.5", "--t", f"0:1:{cf._MAX_ROWS + 1}"],
@@ -419,6 +419,29 @@ class TestInProcessMain:
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CERTIFICATION)
         assert err.count("\n") <= 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("z_re", ["-1e300", "-1E+300", "-2.5e-3",
+                                      "-.5e1", "-1100"])
+    def test_negative_exponent_form_is_a_value(self, capsys, z_re):
+        # argparse's own negative-number pattern has no exponent
+        argv = ["zeta", "--nu", "2", "--p", "0.5", "--mode", "zeta"]
+        assert main(argv + ["--z-re", z_re]) == EXIT_OK
+        spaced = capsys.readouterr()
+        assert main(argv + [f"--z-re={z_re}"]) == EXIT_OK
+        assert spaced.out == capsys.readouterr().out and not spaced.err
+        row = parse_csv(spaced.out)[-1]
+        assert float(row[0]) == float(z_re)
+        assert complex(float(row[2]), float(row[3])) == cf.zeta_spectral(
+            LatticeParams(2, 0.5), float(z_re))
+
+    @pytest.mark.parametrize("r", ["465", "500"])
+    def test_killed_tail_past_the_measure_floor(self, capsys, r):
+        code = main(["annihilated", "--nu", "2", "--p", "0.25", "--mode",
+                     "tail", "--r", r, "--t", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DOMAIN
+        assert err == (f"error: r = {r}: p**(r+1) is below the measure's "
+                       "float floor 1e-280\n")
 
     @pytest.mark.parametrize("argv", [
         ["heat", "--t", f"0:1:{cf._MAX_ROWS + 1}"],

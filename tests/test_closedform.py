@@ -89,6 +89,20 @@ class TestHeatKernel:
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("pa", [PA_2_QUARTER, PA_2_HALF, PA_4_HALF,
+                                    LatticeParams(3, 0.3),
+                                    LatticeParams(2, 0.99),
+                                    LatticeParams(7, 0.95)])
+    def test_probabilities_in_unit_interval_unclipped(self, pa):
+        # no clip holds these values in [0, 1]: the sums do
+        ts = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 2001)])
+        for r in range(5):
+            values = cf.heat_kernel(pa, ts, r)
+            assert np.all((0.0 <= values) & (values <= 1.0)), r
+        for rank in range(6):
+            values = cf.heat_exterior_mass(pa, ts, rank)
+            assert np.all((0.0 <= values) & (values <= 1.0)), rank
+
     def test_stochasticity_with_exterior_tail(self):
         # shell r multiplies the kernel by nu**(r-1)(nu-1), so the
         # kernel tolerance is tightened accordingly

@@ -140,7 +140,7 @@ class TestDense:
         assert diff[2, 2] == 1.5
         assert np.count_nonzero(diff) == 1
 
-    @pytest.mark.parametrize("length", [7, 9])
+    @pytest.mark.parametrize("length", [7, 9, 1, 16])
     def test_diagonal_of_wrong_length_rejected(self, length):
         with pytest.raises(DomainError):
             assemble_dense(grid_of(2, 0.5, 3), np.ones(length))

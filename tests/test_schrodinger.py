@@ -14,7 +14,7 @@ from hierspec.hierops import (HaarBasis, VolumeGrid, assemble_dense,
                               dirichlet_spectrum)
 from hierspec.lattice import LatticeParams, hier_distance
 from hierspec.schrodinger import (POSITIVITY_THRESHOLD, Potential,
-                                  _delta_spectrum, _support_cube_matrix,
+                                  _delta_spectrum, _support_cube,
                                   count_above_threshold,
                                   delta_potential, positive_spectrum,
                                   potential_from_json, potential_to_json,
@@ -255,8 +255,11 @@ class TestPositiveSpectrum:
             count_above_threshold(g, outside)
 
     def test_dense_branch_holds_one_matrix(self):
-        g = VolumeGrid(PA_2_QUARTER, 10)
-        v = powerlaw_potential(PA_2_QUARTER, 0, 3.0, 3, 6)
+        # a rank-10 cube and one shell: m = 1025 rows in the one array
+        # LAPACK overwrites, with no cube-sized copy beside it
+        g = VolumeGrid(PA_2_QUARTER, 11)
+        v = powerlaw_potential(PA_2_QUARTER, 0, 3.0, 3, 10)
+        m = 2**10 + 1
         tracemalloc.start()
         try:
             report = positive_spectrum(g, v, method="dense")
@@ -264,7 +267,7 @@ class TestPositiveSpectrum:
         finally:
             tracemalloc.stop()
         assert report.count >= 1
-        assert peak < 1.5 * g.n_sites**2 * 8
+        assert peak < 1.5 * m**2 * 8
 
     def test_dense_branch_is_support_sized(self):
         # a rank-4 power law at depth 12 gives a 24 x 24 matrix, not the
@@ -319,7 +322,7 @@ class TestSupportCubeReduction:
                 (int(s) for s in sites), rng.uniform(0.2, 6.0, size=size)))))
         for v in potentials:
             rank = _support_rank(v, nu)
-            m = _support_cube_matrix(g, v)
+            m = assemble_dense(g, _support_cube(g, v))
             assert m.shape == (nu**rank + depth - rank,) * 2
             assert np.array_equal(m, m.T)
             report = positive_spectrum(g, v)
@@ -332,7 +335,7 @@ class TestSupportCubeReduction:
     def test_zero_valued_site_does_not_widen_the_cube(self):
         g = VolumeGrid(PA_2_HALF, 8)
         v = Potential({3: 5.0, g.n_sites - 1: 0.0})  # d(3, 255) = 8
-        assert _support_cube_matrix(g, v).shape == (2 + 7, 2 + 7)
+        assert assemble_dense(g, _support_cube(g, v)).shape == (2 + 7, 2 + 7)
         exact = _volume_positive_spectrum(g, v)
         report = positive_spectrum(g, v)
         assert report.count == len(exact) == 1
@@ -341,7 +344,7 @@ class TestSupportCubeReduction:
     @pytest.mark.parametrize("support", [{}, {0: 0.0, 17: 0.0}])
     def test_empty_support_has_no_spectrum(self, support):
         g = VolumeGrid(PA_2_HALF, 8)
-        assert _support_cube_matrix(g, Potential(support)) is None
+        assert _support_cube(g, Potential(support)) is None
         report = positive_spectrum(g, Potential(support), method="dense")
         assert (report.count, report.method) == (0, "dense")
         assert len(_volume_positive_spectrum(g, Potential(support))) == 0
@@ -361,7 +364,7 @@ class TestSupportCubeReduction:
         # R = N: the reduction is the volume's matrix, bit for bit
         g = VolumeGrid(PA_2_HALF, 6)
         v = Potential({0: 2.0, 63: 1.5})
-        assert np.array_equal(_support_cube_matrix(g, v),
+        assert np.array_equal(assemble_dense(g, _support_cube(g, v)),
                               assemble_dense(g, v.diagonal(g)))
 
 
